@@ -1,10 +1,10 @@
 #!/bin/bash
 # Full benchmark suite -> build/bench_output.txt, plus the machine-readable
-# scalability sweep -> build/BENCH_10.json. Outputs live under build/ so a
+# scalability sweep -> build/bench_scale.json. Outputs live under build/ so a
 # bench run never dirties the source tree.
 set -euo pipefail
 
-cd /root/repo
+cd "$(dirname "$0")"
 
 if [ "$(nproc)" -eq 1 ]; then
   cat >&2 <<'EOF'
@@ -52,8 +52,8 @@ fi
     echo
   done
   echo "=== benchmark run complete: $(date -u) ==="
-} > /root/repo/build/bench_output.txt 2>&1
+} > build/bench_output.txt 2>&1
 
 # Machine-readable multicore scalability sweep (sharded vs global-lock).
-./build/tools/bench_json /root/repo/build/BENCH_10.json > /dev/null
-echo "run_benches.sh: wrote build/bench_output.txt and build/BENCH_10.json"
+./build/tools/bench_json build/bench_scale.json > /dev/null
+echo "run_benches.sh: wrote build/bench_output.txt and build/bench_scale.json"

@@ -16,6 +16,53 @@ constexpr uint32_t kTombstone = 0xffffffffu;
 
 void AppendU32(std::string* out, uint32_t v) { out->append(reinterpret_cast<char*>(&v), 4); }
 
+// Reads exactly `n` bytes at `off` into *out. The caller has checked the
+// range against the file size, so a short read means the file is corrupt.
+Status ReadExact(vfs::FileSystem* fs, vfs::Fd fd, std::string* out, uint64_t n, uint64_t off) {
+  out->resize(n);
+  if (n == 0) {
+    return common::OkStatus();
+  }
+  ASSIGN_OR_RETURN(got, fs->Pread(fd, out->data(), n, off));
+  return got == n ? common::OkStatus() : Status(Err::kCorrupt);
+}
+
+struct Record {
+  bool tombstone;
+  uint64_t value_off;
+  uint64_t vlen;  // 0 for a tombstone
+  uint64_t end;   // offset of the next record
+};
+
+// Parses the WAL / table record at `off` of a file holding `size` bytes:
+// reads its key into *key and, when `value` is non-null, its value (empty
+// for a tombstone). On-media lengths are never trusted to size a buffer:
+// a record running past `size` is kCorrupt.
+Result<Record> ReadRecord(vfs::FileSystem* fs, vfs::Fd fd, uint64_t off, uint64_t size,
+                          std::string* key, std::string* value) {
+  RecordHeader h;
+  if (off > size || size - off < sizeof(h)) {
+    return Err::kCorrupt;
+  }
+  ASSIGN_OR_RETURN(n, fs->Pread(fd, &h, sizeof(h), off));
+  if (n != sizeof(h)) {
+    return Err::kCorrupt;
+  }
+  Record r;
+  r.tombstone = h.vlen == kTombstone;
+  r.vlen = r.tombstone ? 0 : h.vlen;
+  if (h.klen + r.vlen > size - off - sizeof(h)) {
+    return Err::kCorrupt;
+  }
+  r.value_off = off + sizeof(h) + h.klen;
+  r.end = r.value_off + r.vlen;
+  RETURN_IF_ERROR(ReadExact(fs, fd, key, h.klen, off + sizeof(h)));
+  if (value != nullptr) {
+    RETURN_IF_ERROR(ReadExact(fs, fd, value, r.vlen, r.value_off));
+  }
+  return r;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Db>> Db::Open(vfs::FileSystem* fs, const std::string& dir, DbOptions opts) {
@@ -63,33 +110,19 @@ Db::~Db() {
 Status Db::Replay() {
   ASSIGN_OR_RETURN(st, fs_->Fstat(wal_fd_));
   uint64_t off = 0;
-  RecordHeader h;
   std::string key, value;
-  while (off + sizeof(h) <= st.size) {
-    ASSIGN_OR_RETURN(n, fs_->Pread(wal_fd_, &h, sizeof(h), off));
-    if (n < sizeof(h)) {
-      break;
-    }
-    off += sizeof(h);
-    key.resize(h.klen);
-    if (h.klen > 0) {
-      ASSIGN_OR_RETURN(kn, fs_->Pread(wal_fd_, key.data(), h.klen, off));
-      if (kn < h.klen) {
+  while (off + sizeof(RecordHeader) <= st.size) {
+    auto r = ReadRecord(fs_, wal_fd_, off, st.size, &key, &value);
+    if (!r.ok()) {
+      if (r.error() == Err::kCorrupt) {
         break;  // torn record at the tail: ignore (standard WAL recovery)
       }
-      off += h.klen;
+      return r.error();
     }
-    if (h.vlen == kTombstone) {
+    off = r->end;
+    if (r->tombstone) {
       memtable_[key] = std::nullopt;
     } else {
-      value.resize(h.vlen);
-      if (h.vlen > 0) {
-        ASSIGN_OR_RETURN(vn, fs_->Pread(wal_fd_, value.data(), h.vlen, off));
-        if (vn < h.vlen) {
-          break;
-        }
-        off += h.vlen;
-      }
       memtable_[key] = value;
       memtable_bytes_ += key.size() + value.size() + 16;
     }
@@ -188,20 +221,13 @@ Result<std::unique_ptr<Db::Table>> Db::LoadTable(const std::string& path, uint64
   // Rebuild the sparse index with a sequential scan.
   uint64_t off = 0;
   size_t i = 0;
-  RecordHeader h;
   std::string key;
-  while (off + sizeof(h) <= t->file_size) {
-    ASSIGN_OR_RETURN(n, fs_->Pread(fd, &h, sizeof(h), off));
-    if (n < sizeof(h)) {
-      break;
-    }
-    key.resize(h.klen);
-    ASSIGN_OR_RETURN(kn, fs_->Pread(fd, key.data(), h.klen, off + sizeof(h)));
-    (void)kn;
+  while (off + sizeof(RecordHeader) <= t->file_size) {
+    ASSIGN_OR_RETURN(r, ReadRecord(fs_, fd, off, t->file_size, &key, nullptr));
     if (i++ % opts_.index_stride == 0) {
       t->index.push_back(TableEntry{key, off});
     }
-    off += sizeof(h) + h.klen + (h.vlen == kTombstone ? 0 : h.vlen);
+    off = r.end;
   }
   return t;
 }
@@ -226,33 +252,23 @@ Status Db::FlushMemtable() {
   return common::OkStatus();
 }
 
-Status Db::Compact() {
-  // Merge every table (newest wins) into one, dropping tombstones.
-  std::map<std::string, std::optional<std::string>> merged;
-  RecordHeader h;
+Status Db::MergeTables(std::map<std::string, std::optional<std::string>>* merged) {
   std::string key, value;
   for (const auto& t : tables_) {  // oldest -> newest: later overwrite earlier
     uint64_t off = 0;
-    while (off + sizeof(h) <= t->file_size) {
-      ASSIGN_OR_RETURN(n, fs_->Pread(t->fd, &h, sizeof(h), off));
-      if (n < sizeof(h)) {
-        break;
-      }
-      key.resize(h.klen);
-      ASSIGN_OR_RETURN(kn, fs_->Pread(t->fd, key.data(), h.klen, off + sizeof(h)));
-      (void)kn;
-      if (h.vlen == kTombstone) {
-        merged[key] = std::nullopt;
-        off += sizeof(h) + h.klen;
-      } else {
-        value.resize(h.vlen);
-        ASSIGN_OR_RETURN(vn, fs_->Pread(t->fd, value.data(), h.vlen, off + sizeof(h) + h.klen));
-        (void)vn;
-        merged[key] = value;
-        off += sizeof(h) + h.klen + h.vlen;
-      }
+    while (off + sizeof(RecordHeader) <= t->file_size) {
+      ASSIGN_OR_RETURN(r, ReadRecord(fs_, t->fd, off, t->file_size, &key, &value));
+      (*merged)[key] = r.tombstone ? std::nullopt : std::optional<std::string>(value);
+      off = r.end;
     }
   }
+  return common::OkStatus();
+}
+
+Status Db::Compact() {
+  // Merge every table (newest wins) into one, dropping tombstones.
+  std::map<std::string, std::optional<std::string>> merged;
+  RETURN_IF_ERROR(MergeTables(&merged));
   // Drop tombstones in the output (full merge).
   std::vector<std::pair<std::string, std::optional<std::string>>> live;
   live.reserve(merged.size());
@@ -286,31 +302,21 @@ Result<std::optional<std::optional<std::string>>> Db::SearchTable(Table& t,
   --it;
   uint64_t off = it->off;
   // Scan up to index_stride records.
-  RecordHeader h;
   std::string k;
-  for (size_t i = 0; i <= opts_.index_stride && off + sizeof(h) <= t.file_size; i++) {
-    ASSIGN_OR_RETURN(n, fs_->Pread(t.fd, &h, sizeof(h), off));
-    if (n < sizeof(h)) {
-      break;
-    }
-    k.resize(h.klen);
-    ASSIGN_OR_RETURN(kn, fs_->Pread(t.fd, k.data(), h.klen, off + sizeof(h)));
-    (void)kn;
-    const uint64_t body = h.vlen == kTombstone ? 0 : h.vlen;
+  for (size_t i = 0; i <= opts_.index_stride && off + sizeof(RecordHeader) <= t.file_size; i++) {
+    ASSIGN_OR_RETURN(r, ReadRecord(fs_, t.fd, off, t.file_size, &k, nullptr));
     if (k == key) {
-      if (h.vlen == kTombstone) {
+      if (r.tombstone) {
         return std::optional<std::optional<std::string>>{std::optional<std::string>{}};
       }
       std::string v;
-      v.resize(h.vlen);
-      ASSIGN_OR_RETURN(vn, fs_->Pread(t.fd, v.data(), h.vlen, off + sizeof(h) + h.klen));
-      (void)vn;
+      RETURN_IF_ERROR(ReadExact(fs_, t.fd, &v, r.vlen, r.value_off));
       return std::optional<std::optional<std::string>>{std::optional<std::string>{std::move(v)}};
     }
     if (k > key) {
       break;  // sorted: key absent
     }
-    off += sizeof(h) + h.klen + body;
+    off = r.end;
   }
   return std::optional<std::optional<std::string>>{};
 }
@@ -339,28 +345,7 @@ Result<std::string> Db::Get(const std::string& key) {
 Result<Db::Iterator> Db::NewIterator() {
   common::MutexLock lk(&mu_);
   std::map<std::string, std::optional<std::string>> merged;
-  RecordHeader h;
-  std::string key, value;
-  for (const auto& t : tables_) {
-    uint64_t off = 0;
-    while (off + sizeof(h) <= t->file_size) {
-      auto n = fs_->Pread(t->fd, &h, sizeof(h), off);
-      if (!n.ok() || *n < sizeof(h)) {
-        break;
-      }
-      key.resize(h.klen);
-      fs_->Pread(t->fd, key.data(), h.klen, off + sizeof(h));
-      if (h.vlen == kTombstone) {
-        merged[key] = std::nullopt;
-        off += sizeof(h) + h.klen;
-      } else {
-        value.resize(h.vlen);
-        fs_->Pread(t->fd, value.data(), h.vlen, off + sizeof(h) + h.klen);
-        merged[key] = value;
-        off += sizeof(h) + h.klen + h.vlen;
-      }
-    }
-  }
+  RETURN_IF_ERROR(MergeTables(&merged));
   for (const auto& [k, v] : memtable_) {
     merged[k] = v;
   }

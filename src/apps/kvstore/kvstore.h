@@ -88,6 +88,9 @@ class Db {
       REQUIRES(mu_);
   Status FlushMemtable() REQUIRES(mu_);
   Status Compact() REQUIRES(mu_);
+  // Folds every table's records into *merged, newer tables overwriting older
+  // ones (nullopt = tombstone).
+  Status MergeTables(std::map<std::string, std::optional<std::string>>* merged) REQUIRES(mu_);
   Result<std::unique_ptr<Table>> WriteTable(
       const std::vector<std::pair<std::string, std::optional<std::string>>>& entries,
       uint64_t seq);

@@ -7,13 +7,11 @@
 #include "src/common/clock.h"
 #include "src/common/killpoint.h"
 #include "src/mpk/mpk.h"
+#include "src/zofs/lease.h"
 
 namespace zofs {
 
 namespace {
-// No live thread stamps a lease further out than this past now; a bigger
-// expiry is corrupt metadata and the list is treated as reclaimable.
-constexpr uint64_t kMaxLeaseSlackNs = 60'000'000'000ull;
 // Per-thread cache of which pool list this thread holds, keyed by the pool's
 // NVM offset (unique per coffer across all processes). The paper stores this
 // in "a normal per-thread variable" (§5.2 footnote).
@@ -74,6 +72,10 @@ void CofferAllocator::InitPool(nvm::NvmDevice* dev, uint64_t pool_off) {
 
 AllocPool* CofferAllocator::pool() { return kfs_->dev()->As<AllocPool>(pool_off_); }
 
+uint64_t CofferAllocator::ListOff(uint32_t idx) const {
+  return pool_off_ + offsetof(AllocPool, lists) + idx * sizeof(LeasedFreeList);
+}
+
 Result<uint32_t> CofferAllocator::AcquireList(nvm::FlushSet* flush) {
   nvm::NvmDevice* dev = kfs_->dev();
   AllocPool* p = pool();
@@ -86,55 +88,51 @@ Result<uint32_t> CofferAllocator::AcquireList(nvm::FlushSet* flush) {
   // Fast path: this thread already holds a list with a valid lease.
   auto it = t_my_list.find(pool_off_);
   if (it != t_my_list.end()) {
-    LeasedFreeList* l = &p->lists[it->second];
-    if (l->owner_tid == tid && l->lease_expiry_ns > now) {
+    const uint64_t loff = ListOff(it->second);
+    Lease lease(dev, loff);
+    const LeaseWord seen = lease.Load();
+    if (seen.owner == tid && !LeaseDead(seen.expiry, now)) {
+      if (seen.expiry >= now + lease_ns_ / 2) {
+        return it->second;
+      }
       // Renew the lease once less than half of it remains. The renewal must
       // reach NVM (this used to be a bare Store64 — after a crash, recovery
       // observed the stale shorter expiry while this thread believed the
       // renewal stuck, so another process could steal a live list). The
       // write-back coalesces into the epoch's flush set when one is open.
-      if (l->lease_expiry_ns < now + lease_ns_ / 2) {
-        uint64_t loff =
-            pool_off_ + offsetof(AllocPool, lists) + it->second * sizeof(LeasedFreeList);
-        dev->Store64(loff + offsetof(LeasedFreeList, lease_expiry_ns), now + lease_ns_);
+      if (lease.Renew(tid, seen.expiry, now + lease_ns_)) {
         if (flush != nullptr) {
           flush->Note(dev, loff, sizeof(LeasedFreeList));
         } else {
           dev->PersistRange(loff, sizeof(LeasedFreeList));
         }
+        return it->second;
       }
-      return it->second;
     }
     t_my_list.erase(it);
   }
 
-  // Slow path: claim an unowned or lease-expired list via CAS on the owner.
+  // Slow path: re-lease our own list from an earlier epoch whose lease
+  // lapsed, else claim an unowned or dead one.
   for (uint32_t i = 0; i < kPoolLists; i++) {
-    LeasedFreeList* l = &p->lists[i];
-    uint64_t owner = l->owner_tid;
-    if (owner == tid) {
-      // Our list from an earlier epoch whose lease lapsed: re-lease it.
-      uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + i * sizeof(LeasedFreeList);
-      dev->Store64(loff + offsetof(LeasedFreeList, lease_expiry_ns), now + lease_ns_);
-      dev->PersistRange(loff, sizeof(LeasedFreeList));
-      t_my_list[pool_off_] = i;
-      return i;
+    const uint64_t loff = ListOff(i);
+    Lease lease(dev, loff);
+    const LeaseWord seen = lease.Load();
+    if (seen.owner != tid && seen.owner != 0 && !LeaseDead(seen.expiry, now)) {
+      continue;  // live lease
     }
-    if (owner != 0 && l->lease_expiry_ns > now &&
-        l->lease_expiry_ns <= now + kMaxLeaseSlackNs) {
-      continue;  // live lease; an implausibly-far expiry is corrupt: steal
+    if (!lease.TryClaim(seen, tid, now + lease_ns_)) {
+      continue;  // lost a race for this list
     }
-    uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + i * sizeof(LeasedFreeList);
-    if (dev->AtomicCas64(loff + offsetof(LeasedFreeList, owner_tid), owner, tid)) {
-      dev->Store64(loff + offsetof(LeasedFreeList, lease_expiry_ns), now + lease_ns_);
-      dev->PersistRange(loff, sizeof(LeasedFreeList));
-      t_my_list[pool_off_] = i;
+    dev->PersistRange(loff, sizeof(LeasedFreeList));
+    t_my_list[pool_off_] = i;
+    if (seen.owner != tid) {
       // Tenant death right after claiming the list: the owner word stays set
       // and the list (plus any pages parked on it) is stranded until the
       // lease lapses — reclaimed by ReclaimExpiredLists or a later steal.
       common::KillPoint(common::kKillHoldingLeasedList);
-      return i;
     }
+    return i;
   }
   return Err::kBusy;  // all lists held with live leases
 }
@@ -166,7 +164,7 @@ Result<uint64_t> CofferAllocator::AllocPageImpl(bool zero, nvm::FlushSet* flush)
   ASSIGN_OR_RETURN(idx, AcquireList(flush));
   AllocPool* p = pool();
   LeasedFreeList* l = &p->lists[idx];
-  const uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + idx * sizeof(LeasedFreeList);
+  const uint64_t loff = ListOff(idx);
 
   if (l->head == 0) {
     // Refill in batch from the kernel (coffer_enlarge, Table 5). Free-list
@@ -243,7 +241,7 @@ Status CofferAllocator::FreePage(uint64_t page_off) {
   ASSIGN_OR_RETURN(idx, AcquireList(/*flush=*/nullptr));
   AllocPool* p = pool();
   LeasedFreeList* l = &p->lists[idx];
-  const uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + idx * sizeof(LeasedFreeList);
+  const uint64_t loff = ListOff(idx);
   PushLocked(l, loff, page_off);
   return common::OkStatus();
 }
@@ -252,7 +250,7 @@ Status CofferAllocator::Donate(const std::vector<kernfs::PageRun>& runs) {
   ASSIGN_OR_RETURN(idx, AcquireList(/*flush=*/nullptr));
   AllocPool* p = pool();
   LeasedFreeList* l = &p->lists[idx];
-  const uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + idx * sizeof(LeasedFreeList);
+  const uint64_t loff = ListOff(idx);
   for (const kernfs::PageRun& r : runs) {
     for (uint64_t pg = r.start_page; pg < r.start_page + r.len; pg++) {
       PushLocked(l, loff, pg * nvm::kPageSize);

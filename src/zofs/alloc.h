@@ -2,9 +2,9 @@
 // Figure 6).
 //
 // Each coffer's custom page holds a pool of LeasedFreeList structures. A
-// thread claims one with a CAS on the owner field and renews its lease on
-// every allocation; if the thread dies, the list becomes reclaimable when
-// the lease expires. When a thread's list runs dry it requests pages in
+// thread claims one through its (owner, expiry) lease (src/zofs/lease.h)
+// and renews the lease as it allocates; if the thread dies, the list
+// becomes reclaimable when the lease expires. When a thread's list runs dry it requests pages in
 // batch from KernFS via coffer_enlarge — the kernel-contention point the
 // paper measures in DWAL/MWCL (§6.1).
 //
@@ -93,6 +93,8 @@ class CofferAllocator {
 
  private:
   AllocPool* pool();
+  // NVM offset of pool list `idx` (its lease owner word).
+  uint64_t ListOff(uint32_t idx) const;
   // Shared body of AllocPage / AllocPageStaged; `flush == nullptr` selects
   // the eager (immediately written back) free-list update.
   Result<uint64_t> AllocPageImpl(bool zero, nvm::FlushSet* flush);

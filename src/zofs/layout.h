@@ -218,6 +218,14 @@ struct AllocPool {
 };
 static_assert(sizeof(AllocPool) <= nvm::kPageSize);
 
+// Every lease (src/zofs/lease.h) keeps its expiry word right after its owner
+// word.
+static_assert(offsetof(Inode, lock_expiry_ns) == offsetof(Inode, lock_owner) + 8);
+static_assert(offsetof(LeasedFreeList, lease_expiry_ns) == offsetof(LeasedFreeList, owner_tid) + 8);
+static_assert(offsetof(RenameIntent, lease_expiry_ns) == offsetof(RenameIntent, magic) + 8);
+static_assert(offsetof(StagedAppendIntent, lease_expiry_ns) ==
+              offsetof(StagedAppendIntent, magic) + 8);
+
 }  // namespace zofs
 
 #endif  // SRC_ZOFS_LAYOUT_H_

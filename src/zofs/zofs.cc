@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +11,7 @@
 #include "src/common/hash.h"
 #include "src/common/killpoint.h"
 #include "src/mpk/mpk.h"
+#include "src/zofs/lease.h"
 
 namespace zofs {
 
@@ -84,16 +84,6 @@ static_assert(kStagedEpochPages <= kStagedMaxPages);
 // InodeLock
 
 namespace {
-// No legal lease stamp exceeds now + the longest lease anyone writes
-// (recovery uses 10 s); an expiry further out than this slack is corrupt
-// metadata, not a live holder, and the lock is stolen outright.
-constexpr uint64_t kMaxLeaseSlackNs = 60'000'000'000ull;
-
-// How long lock acquisition may wait for a live holder before giving up.
-uint64_t LockWaitBoundNs(uint64_t lease_ns) {
-  return std::max<uint64_t>(4 * lease_ns, 10'000'000);
-}
-
 // Live-lock registry: how many InodeLocks are currently held per coffer
 // (hashed — a collision over-counts, which only makes the eviction check
 // conservative, never unsound). DRAM-only; a killed thread's dtor still
@@ -111,60 +101,26 @@ InodeLock::InodeLock(nvm::NvmDevice* dev, uint64_t inode_off, uint64_t lease_ns,
                      uint32_t coffer_id)
     : dev_(dev),
       owner_off_(inode_off + offsetof(Inode, lock_owner)),
-      expiry_off_(inode_off + offsetof(Inode, lock_expiry_ns)),
       coffer_id_(coffer_id) {
   const uint64_t tid = CurrentTid();
-  // The wait bound runs on the hardware clock so it holds even when a test
-  // pins the logical clock; lease expiry uses the logical clock so tests can
-  // lapse a dead owner's lease deterministically.
-  const uint64_t give_up = common::RealNowNs() + LockWaitBoundNs(lease_ns);
-  int spins = 0;
-  for (;;) {
-    uint64_t owner = dev_->AtomicLoad64(owner_off_);
-    if (owner == tid) {
-      held_ = true;  // already held by this thread (single-level reentry)
-      break;
-    }
-    if (owner == 0) {
-      if (dev_->AtomicCas64(owner_off_, 0, tid)) {
-        held_ = true;
-        break;
-      }
-    } else {
-      const uint64_t expiry = dev_->AtomicLoad64(expiry_off_);
-      const uint64_t now = common::NowNs();
-      if (expiry < now || expiry > now + kMaxLeaseSlackNs) {
-        // Lease expired (holder died or stalled) or the expiry word is
-        // garbage: steal (paper §5.2). Claim the lease time first — exactly
-        // one racing thief wins the expiry CAS, after which the lease reads
-        // live and no second thief enters the steal path during the owner
-        // handover below. The winner inherits whatever half-done state the
-        // dead owner left; it reports the steal so callers run
-        // MaybeOnlineRepair.
-        if (dev_->AtomicCas64(expiry_off_, expiry, now + lease_ns) &&
-            dev_->AtomicCas64(owner_off_, owner, tid)) {
-          held_ = true;
-          stole_ = true;
-          internal::NoteLockSteal();
-          break;
-        }
-      }
-    }
-    if (common::RealNowNs() >= give_up) {
+  Lease lease(dev_, owner_off_);
+  const LeaseWord seen = lease.Load();
+  if (seen.owner == tid && lease.Renew(tid, seen.expiry, common::NowNs() + lease_ns)) {
+    held_ = true;  // already held by this thread (single-level reentry)
+  } else {
+    // A dead holder's lease (expired, or a garbage expiry word) is stolen
+    // (paper §5.2). The winner inherits whatever half-done state the dead
+    // owner left; it reports the steal so callers run MaybeOnlineRepair.
+    const LeaseClaim claim = lease.Acquire(tid, lease_ns);
+    if (claim == LeaseClaim::kBusy) {
       return;  // live holder outlasted the bound: ok() reports the failure
     }
-    if (++spins < 64) {
-#if defined(__x86_64__)
-      __builtin_ia32_pause();
-#endif
-    } else {
-      // The holder is probably descheduled: yield the CPU instead of
-      // spinning out the timeslice (leases are hundreds of ms).
-      std::this_thread::yield();
-      spins = 0;
+    held_ = true;
+    if (claim == LeaseClaim::kStolen) {
+      stole_ = true;
+      internal::NoteLockSteal();
     }
   }
-  dev_->AtomicStore64(expiry_off_, common::NowNs() + lease_ns);
   // Tenant death while holding the lock: the throw leaves the owner word set
   // (this ctor never completed, so ~InodeLock does not run) — exactly what a
   // real dead process leaves behind. Survivors steal after expiry.
@@ -401,30 +357,9 @@ bool ZoFs::RevalidateKey(uint32_t cid, MapInfo* info) {
 }
 
 void ZoFs::HarvestCompletions() {
-  const bool have_recover =
-      pending_recover_count_.load(std::memory_order_acquire) != 0;
-  kernfs::Channel* ch = channels_.Current();
-  if (ch == nullptr && !have_recover) {
-    return;
-  }
-  if (ch != nullptr) {
+  if (kernfs::Channel* ch = channels_.Current()) {
     ch->Flush();            // execute this thread's queued async ring
     (void)ch->Harvest();    // consume deferred-unmap completions
-  }
-  if (have_recover) {
-    std::vector<uint32_t> todo;
-    {
-      common::SpinLockGuard lk(&recover_mu_);
-      todo.swap(pending_recover_);
-      pending_recover_count_.store(0, std::memory_order_release);
-    }
-    // Recovery crossings are charged, but as background work: the op that
-    // tripped the quarantine already returned EIO; this harvest point is
-    // paying the repair bill off the foreground path.
-    kernfs::BackgroundCrossingScope bg;
-    for (uint32_t cid : todo) {
-      (void)RecoverCoffer(cid);
-    }
   }
 }
 
@@ -649,22 +584,6 @@ common::Err ZoFs::Sick(uint32_t cid) {
   // Session hits skip CheckHealthy; stale entries must die with the epoch so
   // the quarantine gate cannot be bypassed.
   BumpEpoch();
-  if (opts_.async_recover) {
-    // Queue the repair for the next completion point instead of making a
-    // foreground probe pay for RecoverCoffer.
-    common::SpinLockGuard lk(&recover_mu_);
-    bool queued = false;
-    for (uint32_t c : pending_recover_) {
-      if (c == cid) {
-        queued = true;
-        break;
-      }
-    }
-    if (!queued) {
-      pending_recover_.push_back(cid);
-      pending_recover_count_.store(pending_recover_.size(), std::memory_order_release);
-    }
-  }
   return Err::kCorrupt;
 }
 
@@ -2365,34 +2284,15 @@ Status ZoFs::PublishStageIntent(const MapInfo& info, const StageState& st) {
   nvm::NvmDevice* dev = kfs_->dev();
   const uint64_t off = info.custom_off + offsetof(AllocPool, staged_intent);
   const uint64_t magic_off = off + offsetof(StagedAppendIntent, magic);
-  // Claim the slot with the same lease discipline as the rename intent: a
-  // stale claim is stealable after expiry, a garbage expiry is stolen
-  // outright, a live holder outlasting the wait bound surfaces as EBUSY.
-  const uint64_t give_up = common::RealNowNs() + LockWaitBoundNs(opts_.lease_ns);
-  for (;;) {
-    uint64_t m = dev->AtomicLoad64(magic_off);
-    if (m == 0) {
-      if (dev->AtomicCas64(magic_off, 0, kStagedIntentClaimed)) {
-        break;
-      }
-    } else {
-      const uint64_t expiry = dev->Load64(off + offsetof(StagedAppendIntent, lease_expiry_ns));
-      const uint64_t now = common::NowNs();
-      if ((expiry < now || expiry > now + kMaxLeaseSlackNs) &&
-          dev->AtomicCas64(magic_off, m, kStagedIntentClaimed)) {
-        break;
-      }
-    }
-    if (common::RealNowNs() >= give_up) {
-      return Err::kBusy;
-    }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+  // Claim the slot with the same lease as the rename intent: a stale claim
+  // is stealable after expiry, a garbage expiry is stolen outright, a live
+  // holder outlasting the wait bound surfaces as EBUSY.
+  if (Lease(dev, magic_off).Acquire(kStagedIntentClaimed, opts_.lease_ns) == LeaseClaim::kBusy) {
+    return Err::kBusy;
   }
+  // The body leaves the lease words (magic, expiry) as the claim set them.
+  constexpr size_t kBody = offsetof(StagedAppendIntent, inode_off);
   StagedAppendIntent in{};
-  in.magic = kStagedIntentClaimed;
-  in.lease_expiry_ns = common::NowNs() + opts_.lease_ns;
   in.inode_off = st.inode_off;
   in.start_blk = st.start_blk;
   in.count = st.pages.size();
@@ -2401,7 +2301,7 @@ Status ZoFs::PublishStageIntent(const MapInfo& info, const StageState& st) {
   for (size_t i = 0; i < st.pages.size(); i++) {
     in.pages[i] = st.pages[i];
   }
-  dev->StoreBytes(off, &in, sizeof(in));
+  dev->StoreBytes(off + kBody, reinterpret_cast<const uint8_t*>(&in) + kBody, sizeof(in) - kBody);
   dev->PersistRange(off, sizeof(in));  // fence A: body + the epoch's NT data
   // Commit: the intent becomes authoritative for recovery.
   dev->AtomicStore64(magic_off, kStagedIntentMagic);
@@ -2878,36 +2778,17 @@ Status ZoFs::BeginRenameIntent(const MapInfo& info, const RenameIntent& body) {
   // is stealable after its lease expires, and a garbage expiry word (no live
   // holder could have stamped it that far out) is stolen outright. A live
   // holder that outlasts the wait bound surfaces as EBUSY, never a hang.
-  const uint64_t give_up = common::RealNowNs() + LockWaitBoundNs(opts_.lease_ns);
-  for (;;) {
-    uint64_t m = dev->AtomicLoad64(magic_off);
-    if (m == 0) {
-      if (dev->AtomicCas64(magic_off, 0, kRenameIntentClaimed)) {
-        break;
-      }
-    } else {
-      const uint64_t expiry = dev->Load64(off + offsetof(RenameIntent, lease_expiry_ns));
-      const uint64_t now = common::NowNs();
-      if ((expiry < now || expiry > now + kMaxLeaseSlackNs) &&
-          dev->AtomicCas64(magic_off, m, kRenameIntentClaimed)) {
-        break;
-      }
-    }
-    if (common::RealNowNs() >= give_up) {
-      return Err::kBusy;
-    }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+  if (Lease(dev, magic_off).Acquire(kRenameIntentClaimed, opts_.lease_ns) == LeaseClaim::kBusy) {
+    return Err::kBusy;
   }
-  RenameIntent in = body;
-  in.magic = kRenameIntentClaimed;
-  in.lease_expiry_ns = common::NowNs() + opts_.lease_ns;
-  dev->StoreBytes(off, &in, sizeof(in));
-  dev->PersistRange(off, sizeof(in));
+  // The body leaves the lease words (magic, expiry) as the claim set them.
+  constexpr size_t kBody = offsetof(RenameIntent, src_dir_ino);
+  dev->StoreBytes(off + kBody, reinterpret_cast<const uint8_t*>(&body) + kBody,
+                  sizeof(body) - kBody);
+  dev->PersistRange(off, sizeof(body));
   // Commit: the intent becomes authoritative for recovery.
   dev->AtomicStore64(magic_off, kRenameIntentMagic);
-  AUDIT_ORDER_AFTER(dev, magic_off, 8, off, sizeof(in));
+  AUDIT_ORDER_AFTER(dev, magic_off, 8, off, sizeof(body));
   dev->PersistRange(magic_off, 8);
   return common::OkStatus();
 }

@@ -95,12 +95,6 @@ struct Options {
   // differential-testing baseline the channel path is checked against (and
   // the pre-channel behaviour bench_json's globallock configs measure).
   bool sync_crossings = false;
-  // Defer sick-coffer RecoverCoffer to the async ring: Sick() queues the
-  // recovery and HarvestCompletions() runs it in the background instead of
-  // the next foreground probe paying for it. Off by default so the
-  // fault-injection campaign's deterministic probe/recover schedule is
-  // unchanged.
-  bool async_recover = false;
 };
 
 // Volatile health of one coffer as seen by this ZoFs instance.
@@ -268,10 +262,8 @@ class ZoFs final : public ufs::MicroFs {
 
   // ---- channel completion points ----
   // Executes this thread's queued async ring (background-attributed) and
-  // harvests completions: deferred unmaps, plus queued sick-coffer
-  // recoveries when Options::async_recover is set. FSLibs calls this from
-  // its durability points (close, fsync); cheap no-op when nothing is
-  // queued.
+  // harvests completions (deferred unmaps). FSLibs calls this from its
+  // durability points (close, fsync); cheap no-op when nothing is queued.
   void HarvestCompletions();
   // The channel registry (tests and bench aggregation). Channels are
   // disabled — Current() == nullptr — under Options::sync_crossings.
@@ -623,13 +615,6 @@ class ZoFs final : public ufs::MicroFs {
   std::atomic<uint64_t> active_stages_{0};
   std::atomic<uint64_t> staged_append_hits_{0};
 
-  // Sick coffers awaiting a background RecoverCoffer (Options::async_recover;
-  // drained by HarvestCompletions under a BackgroundCrossingScope). The
-  // atomic count is the lock-free empty-check gate.
-  common::SpinLock recover_mu_;
-  std::vector<uint32_t> pending_recover_ GUARDED_BY(recover_mu_);
-  std::atomic<uint64_t> pending_recover_count_{0};
-
   // Leaf lock: acquired under a shard's exclusive lock (RetireAllocatorLocked)
   // and never the other way around — zofs_lint's lock-order rule enforces
   // that no shard lock is taken while retire_mu_ is held.
@@ -655,14 +640,11 @@ class ZoFs final : public ufs::MicroFs {
   bool rename_repath_all_ = false;
 };
 
-// Lease lock over an inode (paper §5.2): CAS-claimed owner + expiry deadline,
-// stealable after expiry so a dead process cannot wedge the lock. Expiry is
-// compared against the injectable common::NowNs() clock, so tests can lapse a
-// dead owner's lease deterministically. An expiry too far in the future to be
-// a legal lease stamp is treated as corrupt and stolen outright. Acquisition
-// is bounded (escalating pause/yield/sleep backoff up to a multiple of the
-// lease): when a live owner outlasts the bound, the lock is NOT taken and
-// ok() is false — callers fail with EBUSY instead of spinning forever.
+// Lease lock over an inode (paper §5.2): the inode's (lock_owner,
+// lock_expiry_ns) lease (src/zofs/lease.h), stealable once dead so a dead
+// process cannot wedge the lock. Acquisition is bounded: when a live owner
+// outlasts the wait, the lock is NOT taken and ok() is false — callers fail
+// with EBUSY instead of spinning forever.
 class InodeLock {
  public:
   // `coffer_id` registers the lock in the per-coffer live-lock registry while
@@ -684,7 +666,6 @@ class InodeLock {
  private:
   nvm::NvmDevice* dev_;
   uint64_t owner_off_;
-  uint64_t expiry_off_;
   uint32_t coffer_id_;
   bool held_ = false;
   bool stole_ = false;

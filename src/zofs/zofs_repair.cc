@@ -33,6 +33,7 @@
 
 #include "src/common/clock.h"
 #include "src/mpk/mpk.h"
+#include "src/zofs/lease.h"
 #include "src/zofs/zofs.h"
 
 namespace zofs {
@@ -42,19 +43,8 @@ using kernfs::MapInfo;
 
 namespace {
 
-// No live process stamps a lease further out than this past now; a bigger
-// expiry is corrupt metadata, not a live holder (same constant and rationale
-// as the InodeLock steal path and the allocator's list reclaim).
-constexpr uint64_t kMaxLeaseSlackNs = 60'000'000'000ull;
-
 bool PlausiblePage(const nvm::NvmDevice* dev, uint64_t off) {
   return off != 0 && off % nvm::kPageSize == 0 && off + nvm::kPageSize <= dev->size();
-}
-
-// A lease stamp that no live holder can currently own: expired, or too far
-// out to be legal.
-bool LeaseDead(uint64_t expiry, uint64_t now) {
-  return expiry < now || expiry > now + kMaxLeaseSlackNs;
 }
 
 std::string JoinPath(const std::string& dir, std::string_view leaf) {
@@ -405,18 +395,18 @@ Status ZoFs::ReclaimExpiredLists(uint32_t cid) {
   const uint64_t now = common::NowNs();
   uint64_t reclaimed = 0;
   for (uint32_t i = 0; i < kPoolLists; i++) {
-    const LeasedFreeList* l = &pool->lists[i];
-    const uint64_t owner = l->owner_tid;
-    if (owner == 0 || !LeaseDead(l->lease_expiry_ns, now)) {
-      continue;
-    }
-    // Clear only the owner word: the parked pages stay linked on the list,
-    // so the next claimant (CAS 0 -> tid) inherits them instead of each
-    // survivor paying the steal path. Racing a concurrent claim is fine —
-    // the CAS simply fails and that claimant keeps the list.
     const uint64_t loff =
         info.custom_off + offsetof(AllocPool, lists) + i * sizeof(LeasedFreeList);
-    if (dev->AtomicCas64(loff + offsetof(LeasedFreeList, owner_tid), owner, 0)) {
+    Lease lease(dev, loff);
+    const LeaseWord seen = lease.Load();
+    if (seen.owner == 0 || !LeaseDead(seen.expiry, now)) {
+      continue;
+    }
+    // Release only the lease (the stamp stays): the parked pages stay linked
+    // on the list, so the next claimant inherits them instead of each
+    // survivor paying the steal path. Racing a concurrent claim is fine —
+    // exactly one of the two claims wins the list.
+    if (lease.TryClaim(seen, 0, seen.expiry)) {
       dev->PersistRange(loff, sizeof(LeasedFreeList));
       reclaimed++;
     }

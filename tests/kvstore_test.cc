@@ -118,6 +118,39 @@ TEST_P(KvStoreTest, ReopenRecoversFromWalAndTables) {
   }
 }
 
+TEST_P(KvStoreTest, ScribbledTableHeaderFailsReopen) {
+  // On-media record lengths are untrusted: a table whose first header claims
+  // a ~4 GiB key must make reopen fail cleanly, not size a buffer from it.
+  {
+    auto db = kvstore::Db::Open(fs_, "/db");
+    ASSERT_TRUE(db.ok());
+    for (int i = 0; i < 50; i++) {
+      ASSERT_TRUE((*db)->Put("s" + std::to_string(i), "t" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE((*db)->FlushMemtableForTest().ok());
+    ASSERT_EQ((*db)->table_count(), 1u);
+  }
+  const vfs::Cred cred{0, 0};
+  auto entries = fs_->ReadDir(cred, "/db");
+  ASSERT_TRUE(entries.ok());
+  std::string table;
+  for (const vfs::DirEntry& e : *entries) {
+    if (e.name.rfind("sst_", 0) == 0) {
+      table = "/db/" + e.name;
+    }
+  }
+  ASSERT_FALSE(table.empty());
+  auto fd = fs_->Open(cred, table, vfs::kWrite, 0);
+  ASSERT_TRUE(fd.ok());
+  const uint32_t scribble[2] = {0xfffffff0u, 7};  // klen, vlen
+  ASSERT_TRUE(fs_->Pwrite(*fd, scribble, sizeof(scribble), 0).ok());
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+
+  auto db2 = kvstore::Db::Open(fs_, "/db");
+  ASSERT_FALSE(db2.ok());
+  EXPECT_EQ(db2.error(), common::Err::kCorrupt);
+}
+
 TEST_P(KvStoreTest, IteratorYieldsSortedLiveKeys) {
   kvstore::DbOptions opts;
   opts.memtable_bytes = 4 * 1024;

@@ -1,7 +1,7 @@
 // bench_json — multicore scalability sweep with machine-readable output.
 //
 // Usage: bench_json [output.json]
-//   Writes the JSON document to the given path (default BENCH_10.json in the
+//   Writes the JSON document to the given path (default bench_scale.json in the
 //   current directory) and echoes it to stdout.
 //
 // Environment overrides (all optional):
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
   const std::string json = harness::RunBenchJson(opts);
 
-  const char* path = argc > 1 ? argv[1] : "BENCH_10.json";
+  const char* path = argc > 1 ? argv[1] : "bench_scale.json";
   FILE* f = fopen(path, "w");
   if (f == nullptr) {
     fprintf(stderr, "bench_json: cannot open %s for writing\n", path);

@@ -5,8 +5,10 @@
 # zofs_lint over the source tree, clang-tidy (when installed), a
 # deterministic pmem_audit replay of the Figure-8 workload (DWOL), the
 # metadata fault-injection campaign (deterministic across thread counts, plus
-# a bounded sanitized run), and a TSan build running the threaded scalability
-# stress. Prints a per-gate summary table and exits nonzero on any finding.
+# a bounded sanitized run), a TSan build running the threaded scalability
+# stress, a repeated 2-thread bench_json sweep under true parallelism, and
+# the perfbench self-test. Prints a per-gate summary table and exits nonzero
+# on any finding.
 #
 #   tools/check_all.sh [build-dir]
 set -euo pipefail
@@ -18,15 +20,11 @@ TSA_DIR="${BUILD_DIR}-tsa"
 TSAN_DIR="${BUILD_DIR}-tsan"
 FAIL=0
 
-TMPFILES=()
-cleanup() { rm -f "${TMPFILES[@]+"${TMPFILES[@]}"}"; }
-trap cleanup EXIT
-mktmp() {
-  local f
-  f=$(mktemp)
-  TMPFILES+=("$f")
-  printf '%s' "$f"
-}
+# Scratch files live in one directory removed on exit (mktmp runs inside
+# command substitutions, so it cannot record files in a parent-shell list).
+TMPDIR_ALL=$(mktemp -d)
+trap 'rm -rf "$TMPDIR_ALL"' EXIT
+mktmp() { mktemp -p "$TMPDIR_ALL"; }
 
 # Per-gate accounting for the summary table: gate <name> <PASS|FAIL|SKIP>.
 GATE_NAMES=()
@@ -202,6 +200,31 @@ if ! grep -q '"key_evictions":0,' "$A"; then :; else
   KP_OK=0
 fi
 if [ "$KP_OK" -eq 1 ]; then gate "key-pressure-soak" PASS; else gate "key-pressure-soak" FAIL; fi
+
+step "multicore sweep: 10 x 2-thread bench_json, no abort"
+# The sweep's CHECK_OK aborts on any failed op. Shared-coffer points race
+# their threads' first lease claims on fresh pools, which a claim-then-stamp
+# lease protocol lost often enough to abort about one sweep in five on a
+# 4-core host. Ten clean sweeps in a row is the bar.
+MC_OK=1
+J=$(mktmp)
+for i in $(seq 1 10); do
+  if ! ZR_BENCH_MAXTHR=2 ZR_BENCH_FIG8=0 "$BUILD_DIR"/tools/bench_json "$J" >/dev/null; then
+    echo "multicore sweep: run $i aborted" >&2
+    MC_OK=0
+  fi
+done
+if [ "$MC_OK" -eq 1 ]; then gate "multicore-sweep" PASS; else gate "multicore-sweep" FAIL; fi
+
+step "perfbench self-test"
+# Builds the repository benchmark on its own and checks that every metric in
+# BENCHMARK.json prints with its unit, its oracles pass, and op generation is
+# a pure function of the seed.
+if python3 perfbench/selftest.py; then
+  gate "perfbench-selftest" PASS
+else
+  gate "perfbench-selftest" FAIL
+fi
 
 step "TSan build + threaded scalability stress ($TSAN_DIR)"
 # Only the ScalabilityTsan fixtures run here: they confine themselves to

@@ -4,7 +4,7 @@
 Each check encodes one *shape* from the paper's evaluation (an ordering or a
 ratio range, never an absolute number). Run after `./run_benches.sh`:
 
-    python3 tools/check_shapes.py [build/bench_output.txt] [build/BENCH_10.json]
+    python3 tools/check_shapes.py [build/bench_output.txt] [build/bench_scale.json]
 
 Also validates the machine-readable sweep document (schema
 zofs-bench-scale-v5): the derived clwb_per_op / sfence_per_op and
@@ -186,7 +186,7 @@ def check_bench_json(path):
 
 def main():
     path = sys.argv[1] if len(sys.argv) > 1 else "build/bench_output.txt"
-    json_path = sys.argv[2] if len(sys.argv) > 2 else "build/BENCH_10.json"
+    json_path = sys.argv[2] if len(sys.argv) > 2 else "build/bench_scale.json"
     out = Output(open(path).read())
 
     # ---- Table 1: NVM slower than DRAM; read bandwidth > write bandwidth.
