@@ -2,11 +2,42 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/common/rand.h"
 #include "src/common/result.h"
 #include "src/common/stats.h"
 
 namespace common {
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 const char* ErrName(Err e) {
   switch (e) {

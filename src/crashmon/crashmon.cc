@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "src/common/clock.h"
+#include "src/common/json.h"
 #include "src/common/rand.h"
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
@@ -321,7 +322,11 @@ struct Recording {
 // workload is trying to keep open).
 using FdCache = std::map<std::string, vfs::Fd>;
 
-void Exec(fslib::FsLib* fs, nvm::NvmDevice* dev, OpRecord* op, FdCache* cache) {
+// `legacy_rename_overwrite` plants the pre-fix rename (ExploreOptions): an
+// existing destination is removed before the move is attempted, inside the
+// op's fence bracket, so a crash in between loses it.
+void Exec(fslib::FsLib* fs, nvm::NvmDevice* dev, OpRecord* op, FdCache* cache,
+          bool legacy_rename_overwrite) {
   op->begin_fence = dev->sfence_count();
   switch (op->kind) {
     case OpRecord::Kind::kCreate: {
@@ -350,9 +355,19 @@ void Exec(fslib::FsLib* fs, nvm::NvmDevice* dev, OpRecord* op, FdCache* cache) {
     case OpRecord::Kind::kRmdir:
       op->ok = fs->Rmdir(kCred, op->path).ok();
       break;
-    case OpRecord::Kind::kRename:
-      op->ok = fs->Rename(kCred, op->path, op->path2).ok();
+    case OpRecord::Kind::kRename: {
+      bool removed = true;
+      if (legacy_rename_overwrite && op->path != op->path2 && fs->Stat(kCred, op->path).ok()) {
+        auto dst = fs->Stat(kCred, op->path2);
+        if (dst.ok()) {
+          removed = (dst->type == vfs::FileType::kDirectory ? fs->Rmdir(kCred, op->path2)
+                                                            : fs->Unlink(kCred, op->path2))
+                        .ok();
+        }
+      }
+      op->ok = removed && fs->Rename(kCred, op->path, op->path2).ok();
       break;
+    }
     case OpRecord::Kind::kAppend: {
       auto it = cache->find(op->path);
       if (it == cache->end()) {
@@ -388,7 +403,6 @@ Recording Record(const ExploreOptions& opts) {
   auto kfs = std::make_unique<kernfs::KernFs>(&dev, fo);
   kfs->set_kernel_crossing_ns(0);
   zofs::Options zo;
-  zo.legacy_rename_overwrite = opts.legacy_rename_overwrite;
   // Short lease so locks held in a crash image have expired by the time the
   // exploration workers recover it (leases store wall-clock deadlines).
   zo.lease_ns = 2'000'000;
@@ -397,7 +411,7 @@ Recording Record(const ExploreOptions& opts) {
   Plan plan = BuildPlan(opts.workload, opts.ops, opts.seed);
   FdCache cache;
   for (OpRecord& op : plan.setup) {
-    Exec(fs.get(), &dev, &op, &cache);
+    Exec(fs.get(), &dev, &op, &cache, opts.legacy_rename_overwrite);
     if (op.ok) {
       Apply(&rec.base_model, op);
     }
@@ -429,7 +443,7 @@ Recording Record(const ExploreOptions& opts) {
     if (plan.clock_step_ns != 0) {
       common::AdvanceNowNsForTest(plan.clock_step_ns);
     }
-    Exec(fs.get(), &dev, &op, &cache);
+    Exec(fs.get(), &dev, &op, &cache, opts.legacy_rename_overwrite);
     if (!op.ok) {
       rec.ops_failed++;
     }
@@ -955,40 +969,6 @@ ExploreReport Explore(const ExploreOptions& opts) {
 // ---------------------------------------------------------------------------
 // Reports
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string ExploreReport::ToText() const {
   std::ostringstream os;
   os << "crash_explore: " << workload << " on " << fs << ", " << ops_recorded
@@ -1012,8 +992,8 @@ std::string ExploreReport::ToText() const {
 std::string ExploreReport::ToJson() const {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"fs\": \"" << JsonEscape(fs) << "\",\n";
-  os << "  \"workload\": \"" << JsonEscape(workload) << "\",\n";
+  os << "  \"fs\": \"" << common::JsonEscape(fs) << "\",\n";
+  os << "  \"workload\": \"" << common::JsonEscape(workload) << "\",\n";
   os << "  \"seed\": " << seed << ",\n";
   os << "  \"ops_recorded\": " << ops_recorded << ",\n";
   os << "  \"ops_failed\": " << ops_failed << ",\n";
@@ -1027,7 +1007,7 @@ std::string ExploreReport::ToJson() const {
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"state_id\": " << v.state_id << ", \"epoch\": " << v.epoch
        << ", \"fence_seq\": " << v.fence_seq << ", \"mid_variant\": " << v.mid_variant
-       << ", \"kind\": \"" << JsonEscape(v.kind) << "\", \"detail\": \"" << JsonEscape(v.detail)
+       << ", \"kind\": \"" << common::JsonEscape(v.kind) << "\", \"detail\": \"" << common::JsonEscape(v.detail)
        << "\"}";
   }
   os << (violations.empty() ? "]\n" : "\n  ]\n");

@@ -78,9 +78,10 @@ struct ExploreOptions {
   // order, so a capped run explores a prefix of the uncapped run.
   uint64_t max_points = 0;
   int threads = 4;
-  // Planted-bug regression hook: replay the workload with the pre-fix rename
-  // that removed an existing destination before moving the source (recovery
-  // itself always runs the fixed code). The explorer must report violations.
+  // Planted-bug regression hook: the recorder replays each rename as the
+  // pre-fix sequence — remove an existing destination, then move the source —
+  // inside one op (ZoFS itself always runs the fixed rename). The explorer
+  // must report violations.
   bool legacy_rename_overwrite = false;
 };
 

@@ -43,13 +43,14 @@ constexpr uint64_t kTableRunLen = 16;
 
 // Errors in a bench kernel invalidate every counter downstream; abort loudly
 // (assert() is compiled out of release builds).
-#define CHECK_OK(expr)                                                    \
-  do {                                                                    \
-    if (!(expr).ok()) {                                                   \
-      std::fprintf(stderr, "bench_json: %s failed at %s:%d\n", #expr,     \
-                   __FILE__, __LINE__);                                   \
-      std::abort();                                                       \
-    }                                                                     \
+#define CHECK_OK(expr)                                                        \
+  do {                                                                        \
+    const auto& _check_res = (expr);                                          \
+    if (!_check_res.ok()) {                                                   \
+      std::fprintf(stderr, "bench_json: %s failed at %s:%d: %s\n", #expr,     \
+                   __FILE__, __LINE__, common::ErrName(_check_res.error()));  \
+      std::abort();                                                           \
+    }                                                                         \
   } while (0)
 
 const char* KernelName(Kernel k) {

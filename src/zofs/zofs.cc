@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "src/audit/audit.h"
 #include "src/common/clock.h"
@@ -156,6 +157,78 @@ InodeLock::~InodeLock() {
 }
 
 // ---------------------------------------------------------------------------
+// LockedInode
+
+// The lock-and-validate guard of every ZoFS mutation. In order it maps the
+// node's coffer writable, opens the coffer's MPK window, validates the inode
+// (a pointer outside the coffer quarantines it, a bad magic is kCorrupt, the
+// wrong type kNotDir / kIsDir), takes the inode's lease lock (kBusy when a
+// live holder outlasts the wait) and repairs a dead holder's intents (paper
+// §5.2). Window and lock stay held until the guard leaves scope; neither can
+// be copied or moved, so the guard is built in place and reports through
+// status(), which callers check before touching ino().
+class ZoFs::LockedInode {
+ public:
+  LockedInode(ZoFs* fs, NodeRef node, Expect expect);
+  // Over a coffer the caller already mapped writable.
+  LockedInode(ZoFs* fs, NodeRef node, Expect expect, const MapInfo& info);
+  LockedInode(const LockedInode&) = delete;
+  LockedInode& operator=(const LockedInode&) = delete;
+
+  const Status& status() const { return status_; }
+  const MapInfo& info() const { return info_; }
+  Inode* ino() const { return ino_; }
+
+ private:
+  Status Enter(ZoFs* fs, NodeRef node, Expect expect);
+
+  MapInfo info_{};
+  Inode* ino_ = nullptr;
+  // The window is declared first so the lock releases while it is open.
+  std::optional<mpk::AccessWindow> window_;
+  std::optional<InodeLock> lock_;
+  Status status_ = common::OkStatus();
+};
+
+ZoFs::LockedInode::LockedInode(ZoFs* fs, NodeRef node, Expect expect) {
+  auto info = fs->EnsureMapped(node.coffer_id, true);
+  if (!info.ok()) {
+    status_ = info.error();
+    return;
+  }
+  info_ = *info;
+  status_ = Enter(fs, node, expect);
+}
+
+ZoFs::LockedInode::LockedInode(ZoFs* fs, NodeRef node, Expect expect, const MapInfo& info)
+    : info_(info) {
+  status_ = Enter(fs, node, expect);
+}
+
+Status ZoFs::LockedInode::Enter(ZoFs* fs, NodeRef node, Expect expect) {
+  window_.emplace(info_.key, true);
+  if (!fs->ValidMetaPage(node.inode_off)) {
+    return fs->Sick(node.coffer_id);
+  }
+  ino_ = fs->Ino(node.inode_off);
+  if (ino_->magic != kInodeMagic) {
+    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
+  }
+  if (expect == Expect::kDirectory && ino_->type != kTypeDirectory) {
+    return Err::kNotDir;
+  }
+  if (expect == Expect::kNonDirectory && ino_->type == kTypeDirectory) {
+    return Err::kIsDir;
+  }
+  lock_.emplace(fs->kfs_->dev(), node.inode_off, fs->opts_.lease_ns, node.coffer_id);
+  if (!lock_->ok()) {
+    return Err::kBusy;
+  }
+  fs->MaybeOnlineRepair(node.coffer_id, info_, *lock_, node.inode_off);
+  return common::OkStatus();
+}
+
+// ---------------------------------------------------------------------------
 // Per-thread coffer session cache (paper §5.2's leased free lists, applied
 // to mappings): a small direct-mapped TLS table of {instance, cid} ->
 // {MapInfo, allocator}. Entries carry the instance epoch they were filled
@@ -267,16 +340,7 @@ ZoFs::ZoFs(kernfs::KernFs* kfs, kernfs::Process* proc, Options opts)
     if (needs_format) {
       mpk::AccessWindow w(info->key, true);
       const CofferRoot* croot = kfs_->RootPageOf(kfs_->root_coffer_id());
-      Inode fresh{};
-      fresh.magic = kInodeMagic;
-      fresh.type = kTypeDirectory;
-      fresh.mode = croot->mode;
-      fresh.uid = croot->uid;
-      fresh.gid = croot->gid;
-      fresh.nlink = 2;
-      fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-      kfs_->dev()->StoreBytes(info->root_inode_off, &fresh, kInodeCoreBytes);
-      kfs_->dev()->PersistRange(info->root_inode_off, kInodeCoreBytes);
+      InitInode(info->root_inode_off, kTypeDirectory, croot->mode, croot->uid, croot->gid);
       CofferAllocator::InitPool(kfs_->dev(), info->custom_off);
     }
   }
@@ -1372,9 +1436,7 @@ Status ZoFs::FreeBlocksFrom(CofferAllocator& alloc, Inode* ino, uint64_t first_b
 // ---------------------------------------------------------------------------
 // Node lifecycle
 
-Result<uint64_t> ZoFs::AllocInode(CofferAllocator& alloc, uint32_t type, uint16_t mode,
-                                  uint32_t uid, uint32_t gid) {
-  ASSIGN_OR_RETURN(page, alloc.AllocPage(/*zero=*/false));
+void ZoFs::InitInode(uint64_t off, uint32_t type, uint16_t mode, uint32_t uid, uint32_t gid) {
   Inode fresh{};
   fresh.magic = kInodeMagic;
   fresh.type = type;
@@ -1383,9 +1445,15 @@ Result<uint64_t> ZoFs::AllocInode(CofferAllocator& alloc, uint32_t type, uint16_
   fresh.gid = gid;
   fresh.nlink = type == kTypeDirectory ? 2 : 1;
   fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-  kfs_->dev()->StoreBytes(page, &fresh, kInodeCoreBytes);
-  kfs_->dev()->PersistRange(page, kInodeCoreBytes);
-  AUDIT_DURABILITY_POINT(kfs_->dev(), page, kInodeCoreBytes);
+  kfs_->dev()->StoreBytes(off, &fresh, kInodeCoreBytes);
+  kfs_->dev()->PersistRange(off, kInodeCoreBytes);
+  AUDIT_DURABILITY_POINT(kfs_->dev(), off, kInodeCoreBytes);
+}
+
+Result<uint64_t> ZoFs::AllocInode(CofferAllocator& alloc, uint32_t type, uint16_t mode,
+                                  uint32_t uid, uint32_t gid) {
+  ASSIGN_OR_RETURN(page, alloc.AllocPage(/*zero=*/false));
+  InitInode(page, type, mode, uid, gid);
   return page;
 }
 
@@ -1443,183 +1511,19 @@ Status ZoFs::FreeNode(uint32_t cid, CofferAllocator& alloc, uint64_t inode_off) 
 
 Result<NodeRef> ZoFs::Create(const std::string& path, uint16_t mode) {
   AUDIT_SCOPE("ZoFs::Create");
-  ASSIGN_OR_RETURN(pp, vfs::SplitParent(vfs::NormalizePath(path)));
-  const auto& [parent_path, leaf] = pp;
-  ASSIGN_OR_RETURN(pr, Resolve(parent_path, true));
-  const uint32_t pcid = pr.node.coffer_id;
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
-  const uint32_t uid = proc_->cred().uid;
-  const uint32_t gid = proc_->cred().gid;
-
-  mpk::AccessWindow w(pinfo.key, true);
-  Inode* dir = Ino(pr.node.inode_off);
-  if (dir->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  if (dir->type != kTypeDirectory) {
-    return Err::kNotDir;
-  }
-  InodeLock lock(kfs_->dev(), pr.node.inode_off, opts_.lease_ns, pr.node.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(pcid, pinfo, lock, pr.node.inode_off);
-  if (DirFind(pcid, dir, leaf).ok()) {
-    return Err::kExist;
-  }
-
-  const CofferRoot* croot = kfs_->RootPageOf(pcid);
-  if (opts_.one_coffer || SameGroup(mode, uid, gid, croot)) {
-    CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-    ASSIGN_OR_RETURN(inode_off, AllocInode(alloc, kTypeRegular, mode, uid, gid));
-    RETURN_IF_ERROR(DirInsert(pcid, pinfo, dir, leaf, 0, inode_off, kTypeRegular));
-    return NodeRef{pcid, inode_off};
-  }
-
-  // Different permission group: the file becomes the root of a new coffer
-  // (paper §5, Figure 1).
-  std::string full = parent_path == "/" ? "/" + leaf : parent_path + "/" + leaf;
-  ASSIGN_OR_RETURN(new_cid, kfs_->CofferNew(*proc_, full, kernfs::kCofferTypeZofs, EffPerm(mode),
-                                            uid, gid, /*extra_pages=*/2));
-  ForgetMapping(new_cid);  // the id may be recycled from a deleted coffer
-  ASSIGN_OR_RETURN(ninfo, EnsureMapped(new_cid, true));
-  {
-    mpk::AccessWindow w2(ninfo.key, true);
-    Inode fresh{};
-    fresh.magic = kInodeMagic;
-    fresh.type = kTypeRegular;
-    fresh.mode = mode;
-    fresh.uid = uid;
-    fresh.gid = gid;
-    fresh.nlink = 1;
-    fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-    kfs_->dev()->StoreBytes(ninfo.root_inode_off, &fresh, sizeof(fresh));
-    kfs_->dev()->PersistRange(ninfo.root_inode_off, sizeof(fresh));
-    CofferAllocator::InitPool(kfs_->dev(), ninfo.custom_off);
-  }
-  RETURN_IF_ERROR(DirInsert(pcid, pinfo, dir, leaf, new_cid, ninfo.root_inode_off, kTypeRegular));
-  return NodeRef{new_cid, ninfo.root_inode_off};
+  return CreateNode(path, kTypeRegular, mode, /*created=*/nullptr);
 }
 
 Result<NodeRef> ZoFs::OpenOrCreate(const std::string& path, uint16_t mode, bool* created) {
   AUDIT_SCOPE("ZoFs::OpenOrCreate");
   *created = false;
-  ASSIGN_OR_RETURN(pp, vfs::SplitParent(vfs::NormalizePath(path)));
-  const auto& [parent_path, leaf] = pp;
-  ASSIGN_OR_RETURN(pr, Resolve(parent_path, true));
-  const uint32_t pcid = pr.node.coffer_id;
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
-  const uint32_t uid = proc_->cred().uid;
-  const uint32_t gid = proc_->cred().gid;
-
-  mpk::AccessWindow w(pinfo.key, true);
-  Inode* dir = Ino(pr.node.inode_off);
-  if (dir->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  if (dir->type != kTypeDirectory) {
-    return Err::kNotDir;
-  }
-  InodeLock lock(kfs_->dev(), pr.node.inode_off, opts_.lease_ns, pr.node.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(pcid, pinfo, lock, pr.node.inode_off);
-  auto existing = DirFind(pcid, dir, leaf);
-  if (existing.ok()) {
-    Dentry* d = *existing;
-    if (d->cached_type() == kTypeSymlink) {
-      // Fall back to the generic path for symlink targets.
-      return Lookup(path, true);
-    }
-    return NodeRef{d->coffer_id != 0 ? d->coffer_id : pcid, d->inode_off};
-  }
-  *created = true;
-
-  const CofferRoot* croot = kfs_->RootPageOf(pcid);
-  if (opts_.one_coffer || SameGroup(mode, uid, gid, croot)) {
-    CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-    ASSIGN_OR_RETURN(inode_off, AllocInode(alloc, kTypeRegular, mode, uid, gid));
-    RETURN_IF_ERROR(DirInsert(pcid, pinfo, dir, leaf, 0, inode_off, kTypeRegular));
-    return NodeRef{pcid, inode_off};
-  }
-  std::string full = parent_path == "/" ? "/" + leaf : parent_path + "/" + leaf;
-  ASSIGN_OR_RETURN(new_cid, kfs_->CofferNew(*proc_, full, kernfs::kCofferTypeZofs, EffPerm(mode),
-                                            uid, gid, /*extra_pages=*/2));
-  ForgetMapping(new_cid);  // the id may be recycled from a deleted coffer
-  ASSIGN_OR_RETURN(ninfo, EnsureMapped(new_cid, true));
-  {
-    mpk::AccessWindow w2(ninfo.key, true);
-    Inode fresh{};
-    fresh.magic = kInodeMagic;
-    fresh.type = kTypeRegular;
-    fresh.mode = mode;
-    fresh.uid = uid;
-    fresh.gid = gid;
-    fresh.nlink = 1;
-    fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-    kfs_->dev()->StoreBytes(ninfo.root_inode_off, &fresh, kInodeCoreBytes);
-    kfs_->dev()->PersistRange(ninfo.root_inode_off, kInodeCoreBytes);
-    CofferAllocator::InitPool(kfs_->dev(), ninfo.custom_off);
-  }
-  RETURN_IF_ERROR(DirInsert(pcid, pinfo, dir, leaf, new_cid, ninfo.root_inode_off, kTypeRegular));
-  return NodeRef{new_cid, ninfo.root_inode_off};
+  return CreateNode(path, kTypeRegular, mode, created);
 }
 
 Status ZoFs::Mkdir(const std::string& path, uint16_t mode) {
   AUDIT_SCOPE("ZoFs::Mkdir");
-  ASSIGN_OR_RETURN(pp, vfs::SplitParent(vfs::NormalizePath(path)));
-  const auto& [parent_path, leaf] = pp;
-  ASSIGN_OR_RETURN(pr, Resolve(parent_path, true));
-  const uint32_t pcid = pr.node.coffer_id;
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
-  const uint32_t uid = proc_->cred().uid;
-  const uint32_t gid = proc_->cred().gid;
-
-  mpk::AccessWindow w(pinfo.key, true);
-  Inode* dir = Ino(pr.node.inode_off);
-  if (dir->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  if (dir->type != kTypeDirectory) {
-    return Err::kNotDir;
-  }
-  InodeLock lock(kfs_->dev(), pr.node.inode_off, opts_.lease_ns, pr.node.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(pcid, pinfo, lock, pr.node.inode_off);
-  if (DirFind(pcid, dir, leaf).ok()) {
-    return Err::kExist;
-  }
-
-  const CofferRoot* croot = kfs_->RootPageOf(pcid);
-  if (opts_.one_coffer || SameGroup(mode, uid, gid, croot)) {
-    CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-    ASSIGN_OR_RETURN(inode_off, AllocInode(alloc, kTypeDirectory, mode, uid, gid));
-    return DirInsert(pcid, pinfo, dir, leaf, 0, inode_off, kTypeDirectory);
-  }
-
-  std::string full = parent_path == "/" ? "/" + leaf : parent_path + "/" + leaf;
-  ASSIGN_OR_RETURN(new_cid, kfs_->CofferNew(*proc_, full, kernfs::kCofferTypeZofs, EffPerm(mode),
-                                            uid, gid, /*extra_pages=*/2));
-  ForgetMapping(new_cid);  // the id may be recycled from a deleted coffer
-  ASSIGN_OR_RETURN(ninfo, EnsureMapped(new_cid, true));
-  {
-    mpk::AccessWindow w2(ninfo.key, true);
-    Inode fresh{};
-    fresh.magic = kInodeMagic;
-    fresh.type = kTypeDirectory;
-    fresh.mode = mode;
-    fresh.uid = uid;
-    fresh.gid = gid;
-    fresh.nlink = 2;
-    fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-    kfs_->dev()->StoreBytes(ninfo.root_inode_off, &fresh, sizeof(fresh));
-    kfs_->dev()->PersistRange(ninfo.root_inode_off, sizeof(fresh));
-    CofferAllocator::InitPool(kfs_->dev(), ninfo.custom_off);
-  }
-  return DirInsert(pcid, pinfo, dir, leaf, new_cid, ninfo.root_inode_off, kTypeDirectory);
+  auto node = CreateNode(path, kTypeDirectory, mode, /*created=*/nullptr);
+  return node.ok() ? common::OkStatus() : Status(node.error());
 }
 
 Status ZoFs::Symlink(const std::string& target, const std::string& linkpath) {
@@ -1627,42 +1531,75 @@ Status ZoFs::Symlink(const std::string& target, const std::string& linkpath) {
   if (target.size() >= sizeof(Inode{}.symlink_target)) {
     return Err::kNameTooLong;
   }
-  ASSIGN_OR_RETURN(pp, vfs::SplitParent(vfs::NormalizePath(linkpath)));
+  auto node = CreateNode(linkpath, kTypeSymlink, 0, /*created=*/nullptr, target);
+  return node.ok() ? common::OkStatus() : Status(node.error());
+}
+
+Result<NodeRef> ZoFs::CreateNode(const std::string& path, uint32_t type, uint16_t mode,
+                                 bool* created, std::string_view symlink_target) {
+  ASSIGN_OR_RETURN(pp, vfs::SplitParent(vfs::NormalizePath(path)));
   const auto& [parent_path, leaf] = pp;
   ASSIGN_OR_RETURN(pr, Resolve(parent_path, true));
   const uint32_t pcid = pr.node.coffer_id;
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
+  LockedInode parent(this, pr.node, Expect::kDirectory);
+  RETURN_IF_ERROR(parent.status());
+  auto existing = DirFind(pcid, parent.ino(), leaf);
+  if (existing.ok()) {
+    if (created == nullptr) {
+      return Err::kExist;
+    }
+    const Dentry* d = *existing;
+    if (d->cached_type() == kTypeSymlink) {
+      // Fall back to the generic path for symlink targets.
+      return Lookup(path, true);
+    }
+    return NodeRef{d->coffer_id != 0 ? d->coffer_id : pcid, d->inode_off};
+  }
+  if (created != nullptr) {
+    *created = true;
+  }
 
-  mpk::AccessWindow w(pinfo.key, true);
-  Inode* dir = Ino(pr.node.inode_off);
-  if (dir->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  if (dir->type != kTypeDirectory) {
-    return Err::kNotDir;
-  }
-  InodeLock lock(kfs_->dev(), pr.node.inode_off, opts_.lease_ns, pr.node.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(pcid, pinfo, lock, pr.node.inode_off);
-  if (DirFind(pcid, dir, leaf).ok()) {
-    return Err::kExist;
-  }
-  // Symlinks inherit the parent coffer's permission group: they are
-  // path data, not protected content.
+  const uint32_t uid = proc_->cred().uid;
+  const uint32_t gid = proc_->cred().gid;
   const CofferRoot* croot = kfs_->RootPageOf(pcid);
-  CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-  ASSIGN_OR_RETURN(inode_off,
-                   AllocInode(alloc, kTypeSymlink, static_cast<uint16_t>(croot->mode),
-                              proc_->cred().uid, proc_->cred().gid));
-  nvm::NvmDevice* dev = kfs_->dev();
-  dev->Store16(inode_off + offsetof(Inode, symlink_len), static_cast<uint16_t>(target.size()));
-  dev->StoreBytes(inode_off + offsetof(Inode, symlink_target), target.data(), target.size());
-  dev->Store64(inode_off + offsetof(Inode, size), target.size());
-  dev->PersistRange(inode_off, offsetof(Inode, symlink_target) + target.size());
-  AUDIT_DURABILITY_POINT(dev, inode_off, offsetof(Inode, symlink_target) + target.size());
-  return DirInsert(pcid, pinfo, dir, leaf, 0, inode_off, kTypeSymlink);
+  if (type == kTypeSymlink) {
+    // Symlinks inherit the parent coffer's permission group: they are path
+    // data, not protected content.
+    mode = croot->mode;
+  }
+  // Placement (paper §5): a node in its parent coffer's permission group
+  // stays in that coffer.
+  if (type == kTypeSymlink || opts_.one_coffer || SameGroup(mode, uid, gid, croot)) {
+    CofferAllocator& alloc = AllocatorFor(pcid, parent.info());
+    ASSIGN_OR_RETURN(inode_off, AllocInode(alloc, type, mode, uid, gid));
+    if (type == kTypeSymlink) {
+      nvm::NvmDevice* dev = kfs_->dev();
+      const size_t n = symlink_target.size();
+      dev->Store16(inode_off + offsetof(Inode, symlink_len), static_cast<uint16_t>(n));
+      dev->StoreBytes(inode_off + offsetof(Inode, symlink_target), symlink_target.data(), n);
+      dev->Store64(inode_off + offsetof(Inode, size), n);
+      dev->PersistRange(inode_off, offsetof(Inode, symlink_target) + n);
+      AUDIT_DURABILITY_POINT(dev, inode_off, offsetof(Inode, symlink_target) + n);
+    }
+    RETURN_IF_ERROR(DirInsert(pcid, parent.info(), parent.ino(), leaf, 0, inode_off, type));
+    return NodeRef{pcid, inode_off};
+  }
+
+  // A different permission group: the node becomes the root of a new coffer
+  // (paper §5, Figure 1).
+  const std::string full = parent_path == "/" ? "/" + leaf : parent_path + "/" + leaf;
+  ASSIGN_OR_RETURN(new_cid, kfs_->CofferNew(*proc_, full, kernfs::kCofferTypeZofs, EffPerm(mode),
+                                            uid, gid, /*extra_pages=*/2));
+  ForgetMapping(new_cid);  // the id may be recycled from a deleted coffer
+  ASSIGN_OR_RETURN(ninfo, EnsureMapped(new_cid, true));
+  {
+    mpk::AccessWindow w(ninfo.key, true);
+    InitInode(ninfo.root_inode_off, type, mode, uid, gid);
+    CofferAllocator::InitPool(kfs_->dev(), ninfo.custom_off);
+  }
+  RETURN_IF_ERROR(
+      DirInsert(pcid, parent.info(), parent.ino(), leaf, new_cid, ninfo.root_inode_off, type));
+  return NodeRef{new_cid, ninfo.root_inode_off};
 }
 
 Result<std::string> ZoFs::ReadLink(const std::string& path) {
@@ -1683,49 +1620,23 @@ Result<std::string> ZoFs::ReadLink(const std::string& path) {
 
 Status ZoFs::Unlink(const std::string& path) {
   AUDIT_SCOPE("ZoFs::Unlink");
-  ASSIGN_OR_RETURN(r, Resolve(path, /*follow_last_symlink=*/false));
-  if (r.parent.inode_off == 0 && r.leaf.empty()) {
-    return Err::kIsDir;  // "/"
-  }
-  const uint32_t pcid = r.parent.coffer_id;
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
-  mpk::AccessWindow w(pinfo.key, true);
-  Inode* dir = Ino(r.parent.inode_off);
-  InodeLock lock(kfs_->dev(), r.parent.inode_off, opts_.lease_ns, r.parent.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(pcid, pinfo, lock, r.parent.inode_off);
-  ASSIGN_OR_RETURN(d, DirFind(pcid, dir, r.leaf));
-  if (d->cached_type() == kTypeDirectory) {
-    return Err::kIsDir;
-  }
-  const uint32_t child_cid = d->coffer_id;
-  const uint64_t child_inode = d->inode_off;
-  RETURN_IF_ERROR(DirRemoveAt(dir, d));
-  if (child_cid != 0) {
-    // The file was the root of its own coffer: the kernel reclaims it whole.
-    // Drop our cached mapping/allocator — the id (root page index) can be
-    // reused by a future coffer.
-    RETURN_IF_ERROR(kfs_->CofferDelete(*proc_, child_cid));
-    ForgetMapping(child_cid);
-    return common::OkStatus();
-  }
-  CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-  return FreeNode(pcid, alloc, child_inode);
+  return RemoveNode(path, /*is_rmdir=*/false);
 }
 
 Status ZoFs::Rmdir(const std::string& path) {
   AUDIT_SCOPE("ZoFs::Rmdir");
+  return RemoveNode(path, /*is_rmdir=*/true);
+}
+
+Status ZoFs::RemoveNode(const std::string& path, bool is_rmdir) {
   ASSIGN_OR_RETURN(r, Resolve(path, /*follow_last_symlink=*/false));
   if (r.parent.inode_off == 0 && r.leaf.empty()) {
-    return Err::kBusy;  // "/"
+    return is_rmdir ? Err::kBusy : Err::kIsDir;  // "/"
   }
   const uint32_t pcid = r.parent.coffer_id;
   ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
-
-  // Check the target directory is empty (possibly in another coffer).
-  {
+  if (is_rmdir) {
+    // Check the target directory is empty (possibly in another coffer).
     ASSIGN_OR_RETURN(ckey, KeyFor(r.node.coffer_id, false));
     mpk::AccessWindow cw(ckey, false);
     const Inode* target = Ino(r.node.inode_off);
@@ -1742,24 +1653,24 @@ Status ZoFs::Rmdir(const std::string& path) {
     }
   }
 
-  mpk::AccessWindow w(pinfo.key, true);
-  Inode* dir = Ino(r.parent.inode_off);
-  InodeLock lock(kfs_->dev(), r.parent.inode_off, opts_.lease_ns, r.parent.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
+  LockedInode parent(this, r.parent, Expect::kDirectory, pinfo);
+  RETURN_IF_ERROR(parent.status());
+  ASSIGN_OR_RETURN(d, DirFind(pcid, parent.ino(), r.leaf));
+  if (!is_rmdir && d->cached_type() == kTypeDirectory) {
+    return Err::kIsDir;
   }
-  MaybeOnlineRepair(pcid, pinfo, lock, r.parent.inode_off);
-  ASSIGN_OR_RETURN(d, DirFind(pcid, dir, r.leaf));
   const uint32_t child_cid = d->coffer_id;
   const uint64_t child_inode = d->inode_off;
-  RETURN_IF_ERROR(DirRemove(pcid, dir, r.leaf));
+  RETURN_IF_ERROR(DirRemoveAt(parent.ino(), d));
   if (child_cid != 0) {
+    // The node was the root of its own coffer: the kernel reclaims it whole.
+    // Drop our cached mapping/allocator — the id (root page index) can be
+    // reused by a future coffer.
     RETURN_IF_ERROR(kfs_->CofferDelete(*proc_, child_cid));
     ForgetMapping(child_cid);
     return common::OkStatus();
   }
-  CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-  return FreeNode(pcid, alloc, child_inode);
+  return FreeNode(pcid, AllocatorFor(pcid, parent.info()), child_inode);
 }
 
 Result<vfs::StatBuf> ZoFs::StatNode(NodeRef node) {
@@ -1883,24 +1794,10 @@ Result<size_t> ZoFs::WriteAt(NodeRef node, const void* buf, size_t n, uint64_t o
   if (off + n < off) {
     return Err::kOverflow;  // offset + length wraps uint64
   }
-  ASSIGN_OR_RETURN(info, EnsureMapped(node.coffer_id, true));
-  mpk::AccessWindow w(info.key, true);
-  if (!ValidMetaPage(node.inode_off)) {
-    return Sick(node.coffer_id);
-  }
-  Inode* ino = Ino(node.inode_off);
-  mpk::CheckAccess(node.inode_off, sizeof(Inode), false);
-  if (ino->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  if (ino->type == kTypeDirectory) {
-    return Err::kIsDir;
-  }
-  InodeLock lock(kfs_->dev(), node.inode_off, opts_.lease_ns, node.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(node.coffer_id, info, lock, node.inode_off);
+  LockedInode g(this, node, Expect::kNonDirectory);
+  RETURN_IF_ERROR(g.status());
+  const MapInfo& info = g.info();
+  Inode* ino = g.ino();
   // A positional write is a conflicting operation for the staged-append
   // epoch: drain it first so this write's own durability claim cannot cover
   // staged blocks whose metadata write-backs are still deferred.
@@ -2057,20 +1954,9 @@ Status ZoFs::SpillInline(CofferAllocator& alloc, Inode* ino) {
 
 Result<uint64_t> ZoFs::Append(NodeRef node, const void* buf, size_t n) {
   AUDIT_SCOPE("ZoFs::Append");
-  ASSIGN_OR_RETURN(info, EnsureMapped(node.coffer_id, true));
-  mpk::AccessWindow w(info.key, true);
-  if (!ValidMetaPage(node.inode_off)) {
-    return Sick(node.coffer_id);
-  }
-  Inode* ino = Ino(node.inode_off);
-  if (ino->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  InodeLock lock(kfs_->dev(), node.inode_off, opts_.lease_ns, node.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(node.coffer_id, info, lock, node.inode_off);
+  LockedInode g(this, node, Expect::kAny);
+  RETURN_IF_ERROR(g.status());
+  Inode* ino = g.ino();
   const uint64_t off = ino->size;
   // ---- staged fast path (epoch batcher, DESIGN.md) ----
   // Qualifying appends defer all metadata write-backs into the epoch's flush
@@ -2081,7 +1967,7 @@ Result<uint64_t> ZoFs::Append(NodeRef node, const void* buf, size_t n) {
   if (n > 0 && ino->type == kTypeRegular && (ino->iflags & kInodeInlineData) == 0 &&
       !opts_.inline_data && !opts_.atomic_data && !opts_.sysempty && !opts_.kwrite &&
       n <= kStagedEpochPages * nvm::kPageSize && off + n >= off) {
-    ASSIGN_OR_RETURN(staged, StageAppendData(node.coffer_id, info, ino, buf, n));
+    ASSIGN_OR_RETURN(staged, StageAppendData(node.coffer_id, g.info(), ino, buf, n));
     if (staged) {
       staged_append_hits_.fetch_add(1, std::memory_order_relaxed);
       return off;
@@ -2371,20 +2257,9 @@ Status ZoFs::SyncNode(NodeRef node) {
   if (FindStage(node.inode_off) == nullptr) {
     return common::OkStatus();  // nothing staged: fsync is a no-op
   }
-  ASSIGN_OR_RETURN(info, EnsureMapped(node.coffer_id, true));
-  mpk::AccessWindow w(info.key, true);
-  if (!ValidMetaPage(node.inode_off)) {
-    return Sick(node.coffer_id);
-  }
-  if (Ino(node.inode_off)->magic != kInodeMagic) {
-    return Err::kCorrupt;
-  }
-  InodeLock lock(kfs_->dev(), node.inode_off, opts_.lease_ns, node.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(node.coffer_id, info, lock, node.inode_off);
-  return FlushStageIfAny(info, node.inode_off);
+  LockedInode g(this, node, Expect::kAny);
+  RETURN_IF_ERROR(g.status());
+  return FlushStageIfAny(g.info(), node.inode_off);
 }
 
 Status ZoFs::FlushAllStages() {
@@ -2412,23 +2287,10 @@ Status ZoFs::FlushAllStages() {
 
 Status ZoFs::TruncateNode(NodeRef node, uint64_t len) {
   AUDIT_SCOPE("ZoFs::TruncateNode");
-  ASSIGN_OR_RETURN(info, EnsureMapped(node.coffer_id, true));
-  mpk::AccessWindow w(info.key, true);
-  if (!ValidMetaPage(node.inode_off)) {
-    return Sick(node.coffer_id);
-  }
-  Inode* ino = Ino(node.inode_off);
-  if (ino->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  if (ino->type == kTypeDirectory) {
-    return Err::kIsDir;
-  }
-  InodeLock lock(kfs_->dev(), node.inode_off, opts_.lease_ns, node.coffer_id);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(node.coffer_id, info, lock, node.inode_off);
+  LockedInode g(this, node, Expect::kNonDirectory);
+  RETURN_IF_ERROR(g.status());
+  const MapInfo& info = g.info();
+  Inode* ino = g.ino();
   // Truncation conflicts with an open append epoch (it rewrites the same
   // size word and may free staged blocks): drain the epoch first.
   RETURN_IF_ERROR(FlushStageIfAny(info, node.inode_off));
@@ -2437,8 +2299,7 @@ Status ZoFs::TruncateNode(NodeRef node, uint64_t len) {
 
   if (ino->iflags & kInodeInlineData) {
     if (len > kInlineCapacity) {
-      ASSIGN_OR_RETURN(info2, EnsureMapped(node.coffer_id, true));
-      RETURN_IF_ERROR(SpillInline(AllocatorFor(node.coffer_id, info2), ino));
+      RETURN_IF_ERROR(SpillInline(AllocatorFor(node.coffer_id, info), ino));
     } else {
       // Zero the abandoned tail so a later re-extension reads zeros.
       if (len < old_size) {
@@ -2608,12 +2469,26 @@ Result<uint32_t> ZoFs::SplitNodeIntoCoffer(const ResolveResult& r, const std::st
 
 Status ZoFs::Chmod(const std::string& path, uint16_t mode) {
   AUDIT_SCOPE("ZoFs::Chmod");
+  return ChangeIdentity(path, /*owner=*/false, mode, 0, 0);
+}
+
+Status ZoFs::Chown(const std::string& path, uint32_t uid, uint32_t gid) {
+  AUDIT_SCOPE("ZoFs::Chown");
+  return ChangeIdentity(path, /*owner=*/true, 0, uid, gid);
+}
+
+Status ZoFs::ChangeIdentity(const std::string& path, bool owner, uint16_t mode, uint32_t uid,
+                            uint32_t gid) {
   // May split the node into its own coffer, relocating its pages: drain open
   // append epochs first (stages pin volatile page addresses).
   RETURN_IF_ERROR(FlushAllStages());
   std::string norm = vfs::NormalizePath(path);
   ASSIGN_OR_RETURN(r, Resolve(norm, true));
   nvm::NvmDevice* dev = kfs_->dev();
+  const vfs::Cred& cred = proc_->cred();
+  if (owner && !cred.IsRoot()) {
+    return Err::kPerm;  // only root may chown
+  }
 
   const Inode snapshot = [&]() {
     Inode copy{};
@@ -2627,116 +2502,74 @@ Status ZoFs::Chmod(const std::string& path, uint16_t mode) {
   if (snapshot.magic != kInodeMagic) {
     return Err::kCorrupt;  // object-local damage; coffer graph still trusted
   }
-  if (!proc_->cred().IsRoot() && proc_->cred().uid != snapshot.uid) {
-    return Err::kPerm;
+  if (!owner && !cred.IsRoot() && cred.uid != snapshot.uid) {
+    return Err::kPerm;  // chmod: the owner or root
+  }
+  if (owner) {
+    mode = snapshot.mode;
+  } else {
+    uid = snapshot.uid;
+    gid = snapshot.gid;
   }
 
-  auto update_inode_mode = [&]() -> Status {
+  // Rewrites the changed half of the identity in the inode.
+  auto update_inode = [&]() -> Status {
     ASSIGN_OR_RETURN(info, EnsureMapped(r.node.coffer_id, true));
     mpk::AccessWindow w(info.key, true);
-    dev->Store16(r.node.inode_off + offsetof(Inode, mode), mode);
-    dev->PersistRange(r.node.inode_off + offsetof(Inode, mode), 2);
+    const uint64_t off = r.node.inode_off;
+    if (owner) {
+      dev->Store32(off + offsetof(Inode, uid), uid);
+      dev->Store32(off + offsetof(Inode, gid), gid);
+      dev->PersistRange(off + offsetof(Inode, uid), 8);
+    } else {
+      dev->Store16(off + offsetof(Inode, mode), mode);
+      dev->PersistRange(off + offsetof(Inode, mode), 2);
+    }
     return common::OkStatus();
   };
 
   if (r.is_coffer_root) {
-    // The file is a coffer root: the permission lives in the (kernel-owned)
+    // The file is a coffer root: the identity lives in the (kernel-owned)
     // coffer root page — a single kernel call, no page movement.
-    RETURN_IF_ERROR(kfs_->CofferChmod(*proc_, r.node.coffer_id,
-                                      static_cast<uint16_t>(EffPerm(mode))));
-    return update_inode_mode();
+    RETURN_IF_ERROR(owner ? kfs_->CofferChown(*proc_, r.node.coffer_id, uid, gid)
+                          : kfs_->CofferChmod(*proc_, r.node.coffer_id,
+                                              static_cast<uint16_t>(EffPerm(mode))));
+    return update_inode();
   }
-  if (opts_.one_coffer || EffPerm(mode) == EffPerm(snapshot.mode)) {
+  if (opts_.one_coffer || (EffPerm(mode) == EffPerm(snapshot.mode) && uid == snapshot.uid &&
+                           gid == snapshot.gid)) {
     // Same permission group (or the 1-coffer variant): pure user-space
     // metadata update — the fast line of Table 9.
-    return update_inode_mode();
+    return update_inode();
   }
 
   // The file leaves its permission group: split it into its own coffer.
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(r.parent.coffer_id, true));
-  mpk::AccessWindow pw(pinfo.key, true);
-  Inode* pdir = Ino(r.parent.inode_off);
-  InodeLock plock(dev, r.parent.inode_off, opts_.lease_ns, r.parent.coffer_id);
-  if (!plock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(r.parent.coffer_id, pinfo, plock, r.parent.inode_off);
-
-  ASSIGN_OR_RETURN(new_cid, SplitNodeIntoCoffer(r, norm, mode, snapshot.uid, snapshot.gid));
-  ASSIGN_OR_RETURN(d, DirFind(r.parent.coffer_id, pdir, r.leaf));
+  LockedInode parent(this, r.parent, Expect::kDirectory);
+  RETURN_IF_ERROR(parent.status());
+  ASSIGN_OR_RETURN(new_cid, SplitNodeIntoCoffer(r, norm, mode, uid, gid));
+  ASSIGN_OR_RETURN(d, DirFind(r.parent.coffer_id, parent.ino(), r.leaf));
   const uint64_t d_off = dev->OffsetOf(d);
   dev->Store32(d_off + offsetof(Dentry, coffer_id), new_cid);
   dev->PersistRange(d_off + offsetof(Dentry, coffer_id), 4);
   return common::OkStatus();
 }
 
-Status ZoFs::Chown(const std::string& path, uint32_t uid, uint32_t gid) {
-  AUDIT_SCOPE("ZoFs::Chown");
-  // Same coffer-split hazard as Chmod: drain open append epochs first.
-  RETURN_IF_ERROR(FlushAllStages());
-  std::string norm = vfs::NormalizePath(path);
-  ASSIGN_OR_RETURN(r, Resolve(norm, true));
-  nvm::NvmDevice* dev = kfs_->dev();
-  if (!proc_->cred().IsRoot()) {
-    return Err::kPerm;
-  }
-
-  const Inode snapshot = [&]() {
-    Inode copy{};
-    auto key = KeyFor(r.node.coffer_id, false);
-    if (key.ok()) {
-      mpk::AccessWindow w(*key, false);
-      copy = *Ino(r.node.inode_off);
+Result<ZoFs::RenameDst> ZoFs::PrepareRenameDst(uint32_t dcid, Inode* ddir,
+                                               std::string_view to_leaf, const Dentry& src) {
+  RenameDst plan;
+  auto found = DirFind(dcid, ddir, to_leaf);
+  if (!found.ok()) {
+    if (found.error() == Err::kNoEnt) {
+      return plan;  // free destination: insert fresh
     }
-    return copy;
-  }();
-  if (snapshot.magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
+    return found.error();
   }
-
-  auto update_inode_owner = [&]() -> Status {
-    ASSIGN_OR_RETURN(info, EnsureMapped(r.node.coffer_id, true));
-    mpk::AccessWindow w(info.key, true);
-    dev->Store32(r.node.inode_off + offsetof(Inode, uid), uid);
-    dev->Store32(r.node.inode_off + offsetof(Inode, gid), gid);
-    dev->PersistRange(r.node.inode_off + offsetof(Inode, uid), 8);
-    return common::OkStatus();
-  };
-
-  if (r.is_coffer_root) {
-    RETURN_IF_ERROR(kfs_->CofferChown(*proc_, r.node.coffer_id, uid, gid));
-    return update_inode_owner();
+  Dentry* dd = *found;
+  if (dd->coffer_id == src.coffer_id && dd->inode_off == src.inode_off) {
+    plan.same_file = true;
+    return plan;
   }
-  if (opts_.one_coffer || (uid == snapshot.uid && gid == snapshot.gid)) {
-    return update_inode_owner();
-  }
-
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(r.parent.coffer_id, true));
-  mpk::AccessWindow pw(pinfo.key, true);
-  Inode* pdir = Ino(r.parent.inode_off);
-  InodeLock plock(dev, r.parent.inode_off, opts_.lease_ns, r.parent.coffer_id);
-  if (!plock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(r.parent.coffer_id, pinfo, plock, r.parent.inode_off);
-
-  ASSIGN_OR_RETURN(new_cid, SplitNodeIntoCoffer(r, norm, snapshot.mode, uid, gid));
-  ASSIGN_OR_RETURN(d, DirFind(r.parent.coffer_id, pdir, r.leaf));
-  const uint64_t d_off = dev->OffsetOf(d);
-  dev->Store32(d_off + offsetof(Dentry, coffer_id), new_cid);
-  dev->PersistRange(d_off + offsetof(Dentry, coffer_id), 4);
-  return common::OkStatus();
-}
-
-Result<Dentry*> ZoFs::PrepareRenameDst(uint32_t dcid, Inode* ddir, std::string_view to_leaf,
-                                       uint32_t src_type, uint32_t src_coffer, uint64_t src_ino,
-                                       bool* same_file) {
-  *same_file = false;
-  ASSIGN_OR_RETURN(dd, DirFind(dcid, ddir, to_leaf));
-  if (dd->coffer_id == src_coffer && dd->inode_off == src_ino) {
-    *same_file = true;
-    return dd;
-  }
+  const uint32_t src_type = src.cached_type();
   const uint32_t dst_type = dd->cached_type();
   if (src_type == kTypeDirectory && dst_type != kTypeDirectory) {
     return Err::kNotDir;
@@ -2766,7 +2599,10 @@ Result<Dentry*> ZoFs::PrepareRenameDst(uint32_t dcid, Inode* ddir, std::string_v
       }
     }
   }
-  return dd;
+  plan.dd = dd;
+  plan.old_ino = dd->inode_off;
+  plan.old_coffer = dd->coffer_id;
+  return plan;
 }
 
 Status ZoFs::BeginRenameIntent(const MapInfo& info, const RenameIntent& body) {
@@ -2810,8 +2646,8 @@ Status ZoFs::FreeRenameVictim(uint32_t dcid, const MapInfo& dinfo, uint64_t old_
     ForgetMapping(old_dst_coffer);
     return common::OkStatus();
   }
-  CofferAllocator& alloc = AllocatorFor(dcid, dinfo);
-  return FreeNode(dcid, alloc, old_dst_ino);
+  mpk::AccessWindow w(dinfo.key, true);
+  return FreeNode(dcid, AllocatorFor(dcid, dinfo), old_dst_ino);
 }
 
 Status ZoFs::Rename(const std::string& from, const std::string& to) {
@@ -2829,30 +2665,10 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
   // before the namespace moves, so the moved file's data is durable wherever
   // its new name lands — and cross-coffer moves never relocate staged pages.
   RETURN_IF_ERROR(FlushAllStages());
-  nvm::NvmDevice* dev = kfs_->dev();
 
   ASSIGN_OR_RETURN(src, Resolve(nfrom, false));
   if (src.leaf.empty()) {
     return Err::kBusy;  // "/"
-  }
-  if (opts_.legacy_rename_overwrite) {
-    // Pre-fix behaviour, kept as a test hook so the crash explorer's
-    // planted-bug regression can demonstrate the detection: the destination
-    // is removed before the move is attempted, so a crash (or failure) in
-    // between loses it without completing the rename.
-    auto dst_exists = Resolve(nto, false);
-    if (dst_exists.ok()) {
-      vfs::StatBuf st;
-      {
-        ASSIGN_OR_RETURN(s, StatNode(dst_exists->node));
-        st = s;
-      }
-      if (st.type == vfs::FileType::kDirectory) {
-        RETURN_IF_ERROR(Rmdir(nto));
-      } else {
-        RETURN_IF_ERROR(Unlink(nto));
-      }
-    }
   }
   ASSIGN_OR_RETURN(pp, vfs::SplitParent(nto));
   const auto& [to_parent_path, to_leaf] = pp;
@@ -2874,36 +2690,41 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
     node_type = d.cached_type();
   }
 
+  // Locks both parent directories — in inode-offset order, which avoids
+  // deadlock between concurrent renames — then runs `body`.
   auto lock_both_and = [&](auto&& body) -> Status {
     if (src.parent.inode_off == dstp.node.inode_off) {
-      mpk::AccessWindow w(sinfo.key, true);
-      InodeLock l(dev, src.parent.inode_off, opts_.lease_ns, scid);
-      if (!l.ok()) {
-        return Err::kBusy;
-      }
-      MaybeOnlineRepair(scid, sinfo, l, src.parent.inode_off);
+      LockedInode l(this, src.parent, Expect::kDirectory, sinfo);
+      RETURN_IF_ERROR(l.status());
       return body();
     }
-    // Deterministic lock order avoids deadlock between concurrent renames.
-    uint64_t first = std::min(src.parent.inode_off, dstp.node.inode_off);
-    uint64_t second = std::max(src.parent.inode_off, dstp.node.inode_off);
-    uint8_t fkey = first == src.parent.inode_off ? sinfo.key : dinfo.key;
-    uint8_t skey = first == src.parent.inode_off ? dinfo.key : sinfo.key;
-    mpk::AccessWindow w1(fkey, true);
-    InodeLock l1(dev, first, opts_.lease_ns, first == src.parent.inode_off ? scid : dcid);
-    if (!l1.ok()) {
-      return Err::kBusy;
-    }
-    MaybeOnlineRepair(first == src.parent.inode_off ? scid : dcid,
-                      first == src.parent.inode_off ? sinfo : dinfo, l1, first);
-    mpk::AccessWindow w2(skey, true);
-    InodeLock l2(dev, second, opts_.lease_ns, second == src.parent.inode_off ? scid : dcid);
-    if (!l2.ok()) {
-      return Err::kBusy;
-    }
-    MaybeOnlineRepair(second == src.parent.inode_off ? scid : dcid,
-                      second == src.parent.inode_off ? sinfo : dinfo, l2, second);
+    const bool src_first = src.parent.inode_off < dstp.node.inode_off;
+    LockedInode l1(this, src_first ? src.parent : dstp.node, Expect::kDirectory,
+                   src_first ? sinfo : dinfo);
+    RETURN_IF_ERROR(l1.status());
+    LockedInode l2(this, src_first ? dstp.node : src.parent, Expect::kDirectory,
+                   src_first ? dinfo : sinfo);
+    RETURN_IF_ERROR(l2.status());
     return body();
+  };
+  // Links the moved node at the planned slot (caller holds dinfo's window):
+  // retargets the displaced entry or inserts a fresh one.
+  auto link_dst = [&](const RenameDst& plan, Inode* ddir, uint32_t child_coffer) -> Status {
+    if (plan.dd != nullptr) {
+      return DirReplaceTarget(ddir, plan.dd, child_coffer, d.inode_off, node_type);
+    }
+    return DirInsert(dcid, dinfo, ddir, to_leaf, child_coffer, d.inode_off, node_type);
+  };
+  // Kernel-side paths follow the move: a coffer root's own stored path, or
+  // those of the descendant coffers of a moved directory.
+  auto repath = [&]() -> Status {
+    if (d.coffer_id != 0) {
+      return kfs_->CofferRename(*proc_, d.coffer_id, nto);
+    }
+    if (node_type == kTypeDirectory) {
+      return kfs_->CofferFixupPaths(*proc_, nfrom, nto);
+    }
+    return common::OkStatus();
   };
 
   if (scid == dcid) {
@@ -2915,25 +2736,12 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
       mpk::AccessWindow w(dinfo.key, true);
       Inode* ddir = Ino(dstp.node.inode_off);
       Inode* sdir = Ino(src.parent.inode_off);
-      if (ddir->type != kTypeDirectory) {
-        return Err::kNotDir;
-      }
       // Re-find the source under the locks (the snapshot may be stale).
       ASSIGN_OR_RETURN(sd, DirFind(scid, sdir, src.leaf));
       d = *sd;
       node_type = d.cached_type();
-      bool same_file = false;
-      Dentry* dd = nullptr;
-      {
-        auto found = PrepareRenameDst(dcid, ddir, to_leaf, node_type, d.coffer_id, d.inode_off,
-                                      &same_file);
-        if (found.ok()) {
-          dd = *found;
-        } else if (found.error() != Err::kNoEnt) {
-          return found.error();
-        }
-      }
-      if (same_file) {
+      ASSIGN_OR_RETURN(plan, PrepareRenameDst(dcid, ddir, to_leaf, d));
+      if (plan.same_file) {
         return common::OkStatus();  // POSIX: src and dst name the same node
       }
 
@@ -2943,45 +2751,31 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
       in.child_ino = d.inode_off;
       in.child_coffer = d.coffer_id;
       in.child_type = node_type;
-      if (dd != nullptr) {
-        in.old_dst_ino = dd->inode_off;
-        in.old_dst_coffer = dd->coffer_id;
-      }
+      in.old_dst_ino = plan.old_ino;
+      in.old_dst_coffer = plan.old_coffer;
       in.src_len = static_cast<uint8_t>(src.leaf.size());
       in.dst_len = static_cast<uint8_t>(to_leaf.size());
       memcpy(in.src_name, src.leaf.data(), src.leaf.size());
       memcpy(in.dst_name, to_leaf.data(), to_leaf.size());
       RETURN_IF_ERROR(BeginRenameIntent(dinfo, in));
 
-      if (dd != nullptr) {
-        // Overwrite: atomically retarget the existing destination dentry.
-        // The displaced node is freed only after this commit, so neither a
-        // failure nor a crash can lose the destination without completing
-        // the rename.
-        RETURN_IF_ERROR(DirReplaceTarget(ddir, dd, d.coffer_id, d.inode_off, node_type));
-      } else {
-        Status s = DirInsert(dcid, dinfo, ddir, to_leaf, d.coffer_id, d.inode_off, node_type);
-        if (!s.ok()) {
-          EndRenameIntent(dinfo);  // nothing committed; pre-state intact
-          return s;
-        }
+      // An overwrite retargets the existing destination dentry atomically and
+      // frees the displaced node only after this commit, so neither a failure
+      // nor a crash can lose the destination without completing the rename.
+      Status s = link_dst(plan, ddir, d.coffer_id);
+      if (!s.ok()) {
+        EndRenameIntent(dinfo);  // nothing committed; pre-state intact
+        return s;
       }
       // Tenant death with the rename intent committed and the destination
       // dentry landed, but the source dentry still in place: the survivor
       // (or offline recovery) rolls the move forward from the intent.
       common::KillPoint(common::kKillMidRenameIntent);
       RETURN_IF_ERROR(DirRemoveAt(sdir, sd));
-      if (dd != nullptr) {
-        RETURN_IF_ERROR(FreeRenameVictim(dcid, dinfo, in.old_dst_ino, in.old_dst_coffer));
+      if (plan.dd != nullptr) {
+        RETURN_IF_ERROR(FreeRenameVictim(dcid, dinfo, plan.old_ino, plan.old_coffer));
       }
-      Status tail = common::OkStatus();
-      if (d.coffer_id != 0) {
-        // The moved node roots a coffer whose stored path must follow it.
-        tail = kfs_->CofferRename(*proc_, d.coffer_id, nto);
-      } else if (node_type == kTypeDirectory) {
-        // Descendant coffers' paths embed the old prefix.
-        tail = kfs_->CofferFixupPaths(*proc_, nfrom, nto);
-      }
+      Status tail = repath();
       EndRenameIntent(dinfo);
       return tail;
     });
@@ -2992,118 +2786,33 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
   // point (retarget), so a mid-move failure cannot lose it; full cross-
   // coffer crash atomicity (one intent spanning two coffers) is future work
   // — the insert-before-remove order at least never loses the moved node.
-  if (d.coffer_id != 0) {
-    // The node is already its own coffer: move the dentry and re-path it.
-    return lock_both_and([&]() -> Status {
-      mpk::AccessWindow w(dinfo.key, true);
-      Inode* ddir = Ino(dstp.node.inode_off);
-      if (ddir->type != kTypeDirectory) {
-        return Err::kNotDir;
-      }
-      bool same_file = false;
-      Dentry* dd = nullptr;
-      {
-        auto found = PrepareRenameDst(dcid, ddir, to_leaf, node_type, d.coffer_id, d.inode_off,
-                                      &same_file);
-        if (found.ok()) {
-          dd = *found;
-        } else if (found.error() != Err::kNoEnt) {
-          return found.error();
-        }
-      }
-      if (same_file) {
-        return common::OkStatus();
-      }
-      uint64_t old_dst_ino = 0;
-      uint32_t old_dst_coffer = 0;
-      if (dd != nullptr) {
-        old_dst_ino = dd->inode_off;
-        old_dst_coffer = dd->coffer_id;
-        RETURN_IF_ERROR(DirReplaceTarget(ddir, dd, d.coffer_id, d.inode_off, node_type));
-      } else {
-        RETURN_IF_ERROR(DirInsert(dcid, dinfo, ddir, to_leaf, d.coffer_id, d.inode_off, node_type));
-      }
-      {
-        mpk::AccessWindow w2(sinfo.key, true);
-        Inode* sdir = Ino(src.parent.inode_off);
-        RETURN_IF_ERROR(DirRemove(scid, sdir, src.leaf));
-      }
-      if (dd != nullptr) {
-        RETURN_IF_ERROR(FreeRenameVictim(dcid, dinfo, old_dst_ino, old_dst_coffer));
-      }
-      return kfs_->CofferRename(*proc_, d.coffer_id, nto);
-    });
-  }
-
-  // The node's pages live inside the source coffer and must change owner.
-  {
+  // A coffer root moves by its dentry alone. A node inside the source coffer
+  // changes owner with its pages: a bulk page move when it matches the
+  // destination coffer's permission group, else a split into its own coffer.
+  Inode snapshot{};
+  if (d.coffer_id == 0) {
     mpk::AccessWindow w(sinfo.key, false);
     if (!ValidMetaPage(d.inode_off)) {
       return Sick(scid);
     }
+    snapshot = *Ino(d.inode_off);
   }
-  const Inode snapshot = [&]() {
-    mpk::AccessWindow w(sinfo.key, false);
-    return *Ino(d.inode_off);
-  }();
-  const CofferRoot* droot = kfs_->RootPageOf(dcid);
+  const bool move_pages =
+      d.coffer_id == 0 &&
+      SameGroup(snapshot.mode, snapshot.uid, snapshot.gid, kfs_->RootPageOf(dcid));
 
-  // Validates the destination slot and snapshots a displaced node before any
-  // pages move, so every fallible step precedes the first destructive one.
-  struct DstPlan {
-    bool overwrite = false;
-    Dentry* dd = nullptr;
-    uint64_t old_dst_ino = 0;
-    uint32_t old_dst_coffer = 0;
-  };
-  auto plan_dst = [&]() -> Result<DstPlan> {
-    DstPlan plan;
-    mpk::AccessWindow w(dinfo.key, true);
-    Inode* ddir = Ino(dstp.node.inode_off);
-    if (ddir->type != kTypeDirectory) {
-      return Err::kNotDir;
-    }
-    bool same_file = false;
-    auto found =
-        PrepareRenameDst(dcid, ddir, to_leaf, node_type, d.coffer_id, d.inode_off, &same_file);
-    if (found.ok()) {
-      plan.overwrite = true;
-      plan.dd = *found;
-      plan.old_dst_ino = (*found)->inode_off;
-      plan.old_dst_coffer = (*found)->coffer_id;
-    } else if (found.error() != Err::kNoEnt) {
-      return found.error();
-    }
-    return plan;
-  };
-  // Commits the namespace move: retarget the displaced dentry or insert a
-  // fresh one, then drop the source name and free the displaced node.
-  auto commit_dst = [&](const DstPlan& plan, uint32_t child_coffer) -> Status {
+  return lock_both_and([&]() -> Status {
+    RenameDst plan;
     {
-      mpk::AccessWindow w(dinfo.key, true);
-      Inode* ddir = Ino(dstp.node.inode_off);
-      if (plan.overwrite) {
-        RETURN_IF_ERROR(DirReplaceTarget(ddir, plan.dd, child_coffer, d.inode_off, node_type));
-      } else {
-        RETURN_IF_ERROR(DirInsert(dcid, dinfo, ddir, to_leaf, child_coffer, d.inode_off, node_type));
-      }
+      mpk::AccessWindow w(dinfo.key, false);
+      ASSIGN_OR_RETURN(p, PrepareRenameDst(dcid, Ino(dstp.node.inode_off), to_leaf, d));
+      plan = p;
     }
-    {
-      mpk::AccessWindow w(sinfo.key, true);
-      Inode* sdir = Ino(src.parent.inode_off);
-      RETURN_IF_ERROR(DirRemove(scid, sdir, src.leaf));
+    if (plan.same_file) {
+      return common::OkStatus();  // POSIX: src and dst name the same node
     }
-    if (plan.overwrite) {
-      mpk::AccessWindow w(dinfo.key, true);
-      RETURN_IF_ERROR(FreeRenameVictim(dcid, dinfo, plan.old_dst_ino, plan.old_dst_coffer));
-    }
-    return common::OkStatus();
-  };
-
-  if (SameGroup(snapshot.mode, snapshot.uid, snapshot.gid, droot)) {
-    // Same permission group as the destination coffer: bulk page move.
-    return lock_both_and([&]() -> Status {
-      ASSIGN_OR_RETURN(plan, plan_dst());
+    uint32_t child_coffer = d.coffer_id;
+    if (move_pages) {
       std::vector<PageRun> runs;
       {
         mpk::AccessWindow w(sinfo.key, true);
@@ -3112,25 +2821,25 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
       }
       RETURN_IF_ERROR(kfs_->CofferMovePages(*proc_, scid, dcid, runs));
       RecordRelocation(runs, dcid);
-      RETURN_IF_ERROR(commit_dst(plan, 0));
-      if (node_type == kTypeDirectory) {
-        return kfs_->CofferFixupPaths(*proc_, nfrom, nto);
-      }
-      return common::OkStatus();
-    });
-  }
-
-  // Different permission group: the node becomes its own coffer at `to`.
-  return lock_both_and([&]() -> Status {
-    ASSIGN_OR_RETURN(plan, plan_dst());
-    ResolveResult fake = src;
-    ASSIGN_OR_RETURN(new_cid,
-                     SplitNodeIntoCoffer(fake, nto, snapshot.mode, snapshot.uid, snapshot.gid));
-    RETURN_IF_ERROR(commit_dst(plan, new_cid));
-    if (node_type == kTypeDirectory) {
-      return kfs_->CofferFixupPaths(*proc_, nfrom, nto);
+    } else if (d.coffer_id == 0) {
+      ASSIGN_OR_RETURN(new_cid,
+                       SplitNodeIntoCoffer(src, nto, snapshot.mode, snapshot.uid, snapshot.gid));
+      child_coffer = new_cid;
     }
-    return common::OkStatus();
+    // Commit: link the destination, drop the source name, then free the
+    // displaced node.
+    {
+      mpk::AccessWindow w(dinfo.key, true);
+      RETURN_IF_ERROR(link_dst(plan, Ino(dstp.node.inode_off), child_coffer));
+    }
+    {
+      mpk::AccessWindow w(sinfo.key, true);
+      RETURN_IF_ERROR(DirRemove(scid, Ino(src.parent.inode_off), src.leaf));
+    }
+    if (plan.dd != nullptr) {
+      RETURN_IF_ERROR(FreeRenameVictim(dcid, dinfo, plan.old_ino, plan.old_coffer));
+    }
+    return repath();
   });
 }
 

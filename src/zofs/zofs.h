@@ -58,11 +58,6 @@ struct Options {
   uint64_t enlarge_batch = 64;      // pages per coffer_enlarge request
   int max_symlink_depth = 8;
 
-  // Test hook (crashmon planted-bug regression): restore the pre-fix rename
-  // behaviour that removed an existing destination before attempting the
-  // move, so a crash in between loses the destination.
-  bool legacy_rename_overwrite = false;
-
   // Test hook (fault-injection planted-bug regression): bypass the
   // validate-before-dereference checks on persistent pointer loads and fall
   // back to the pre-hardening discipline — a bare MPK check followed by the
@@ -277,6 +272,12 @@ class ZoFs final : public ufs::MicroFs {
     bool is_coffer_root;     // node is the root file of its coffer
   };
 
+  // The lock-and-validate guard every mutation runs (zofs.cc).
+  class LockedInode;
+  // The type a guarded inode must have: a mismatch fails with kNotDir
+  // (kDirectory) or kIsDir (kNonDirectory).
+  enum class Expect { kAny, kDirectory, kNonDirectory };
+
   // --- mapping / window management ---
   // `bypass_sick` lets fsck map a quarantined coffer; normal operations are
   // refused (EIO / EROFS) while the coffer is sick.
@@ -322,17 +323,24 @@ class ZoFs final : public ufs::MicroFs {
                           uint32_t child_type);
 
   // --- rename support ---
-  // Locates and validates an existing destination for an overwriting rename
-  // (POSIX: dir over empty dir, non-dir over non-dir). kNoEnt = free
-  // destination; `same_file` reports src and dst naming the same node.
-  Result<Dentry*> PrepareRenameDst(uint32_t dcid, Inode* ddir, std::string_view to_leaf,
-                                   uint32_t src_type, uint32_t src_coffer, uint64_t src_ino,
-                                   bool* same_file);
+  // Where a rename lands in its (locked) destination directory.
+  struct RenameDst {
+    Dentry* dd = nullptr;     // existing entry to retarget; null = insert fresh
+    uint64_t old_ino = 0;     // the displaced node (when dd != null)
+    uint32_t old_coffer = 0;
+    bool same_file = false;   // src and dst already name the same node
+  };
+  // Validates the destination slot for moving `src` there and snapshots a
+  // displaced node (POSIX: dir over empty dir, non-dir over non-dir), so
+  // every fallible step precedes the first destructive one.
+  Result<RenameDst> PrepareRenameDst(uint32_t dcid, Inode* ddir, std::string_view to_leaf,
+                                     const Dentry& src);
   // Claims the coffer's rename-intent slot, persists `body` and commits it.
   Status BeginRenameIntent(const kernfs::MapInfo& info, const RenameIntent& body);
   // Clears the intent slot (the rename fully applied).
   void EndRenameIntent(const kernfs::MapInfo& info);
-  // Frees an overwritten destination node once the rename has committed.
+  // Frees an overwritten destination node once the rename has committed
+  // (opens `dinfo`'s window for a same-coffer node).
   Status FreeRenameVictim(uint32_t dcid, const kernfs::MapInfo& dinfo, uint64_t old_dst_ino,
                           uint32_t old_dst_coffer);
   // Rolls a committed rename intent forward or back before traversal
@@ -445,8 +453,24 @@ class ZoFs final : public ufs::MicroFs {
   Status FreeBlocksFrom(CofferAllocator& alloc, Inode* ino, uint64_t first_blk);
 
   // --- node lifecycle ---
+  // Formats a fresh inode at `off` and persists its core bytes: the one
+  // initializer behind AllocInode, new-coffer roots and the mount-time root.
+  void InitInode(uint64_t off, uint32_t type, uint16_t mode, uint32_t uid, uint32_t gid);
   Result<uint64_t> AllocInode(CofferAllocator& alloc, uint32_t type, uint16_t mode, uint32_t uid,
                               uint32_t gid);
+  // Create, OpenOrCreate, Mkdir and Symlink: inserts a `type` node at `path`
+  // under its locked parent, placed by the §5 permission-group rule. With
+  // `created` null the create is exclusive (an existing name is kExist);
+  // otherwise an existing node is returned and *created tells which.
+  Result<NodeRef> CreateNode(const std::string& path, uint32_t type, uint16_t mode,
+                             bool* created, std::string_view symlink_target = {});
+  // Unlink and Rmdir: drops `path`'s entry under its locked parent and frees
+  // the node (a child coffer goes back to the kernel whole).
+  Status RemoveNode(const std::string& path, bool is_rmdir);
+  // Chmod and Chown: the node's new (mode, uid, gid); `owner` says which half
+  // the caller set (chown: uid/gid, chmod: mode) — the other is kept.
+  Status ChangeIdentity(const std::string& path, bool owner, uint16_t mode, uint32_t uid,
+                        uint32_t gid);
   // Frees an inode page plus everything it owns (same-coffer only).
   Status FreeNode(uint32_t cid, CofferAllocator& alloc, uint64_t inode_off);
 

@@ -4,7 +4,7 @@
 // recorded workload (plus mid-epoch cacheline subsets), recovers each
 // materialized image and checks the fsck + durability oracles. With the
 // shipped ZoFS these sweeps must come back clean; with the planted pre-fix
-// rename (Options::legacy_rename_overwrite) the sweep must catch the
+// rename (ExploreOptions::legacy_rename_overwrite) the sweep must catch the
 // destination-lost window — the regression that proves the explorer can see
 // the bug class it was built for.
 

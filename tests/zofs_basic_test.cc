@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 
+#include "src/common/clock.h"
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
@@ -421,6 +425,170 @@ TEST_F(ZofsTest, DeepPathResolution) {
   auto fd = fs_->Open(cred, path + "/leaf", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
   EXPECT_TRUE(fs_->Stat(cred, path + "/leaf").ok());
+}
+
+// A live lease a foreign process holds on the parent directory or on the
+// file itself makes every mutation give up with EBUSY after the bounded wait
+// (the lock-and-validate guard) and leave the tree untouched; once the lease
+// is gone the same operation succeeds.
+class ZofsLeaseTest : public ZofsTest {
+ protected:
+  static constexpr uint64_t kForeignOwner = 0xF0F0'0000'0001ull;
+
+  void SetUp() override {
+    ZofsTest::SetUp();
+    // Root, so chown reaches its split path; a 1 ms lease keeps the bounded
+    // wait at its 10 ms floor.
+    fs_.reset();
+    zofs::Options zo;
+    zo.lease_ns = 1'000'000;
+    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), root, zo);
+  }
+
+  // Stamps `path`'s inode lease the way another process's store would.
+  void SetLease(const std::string& path, uint64_t owner, uint64_t expiry) {
+    fs_->BindThread();
+    auto node = fs_->zofs().Lookup(path, /*follow_last_symlink=*/false);
+    ASSERT_TRUE(node.ok()) << path;
+    mpk::BindThreadToProcess(nullptr);  // raw store, outside any window of ours
+    dev_->AtomicStore64(node->inode_off + offsetof(zofs::Inode, lock_owner), owner);
+    dev_->AtomicStore64(node->inode_off + offsetof(zofs::Inode, lock_expiry_ns), expiry);
+  }
+
+  // Every name under `dir` with its type, identity, size and content.
+  std::string Tree(const std::string& dir) {
+    auto entries = fs_->ReadDir(root, dir);
+    if (!entries.ok()) {
+      return "readdir " + dir + ": " + common::ErrName(entries.error()) + "\n";
+    }
+    std::sort(entries->begin(), entries->end(),
+              [](const vfs::DirEntry& a, const vfs::DirEntry& b) { return a.name < b.name; });
+    std::string out;
+    for (const vfs::DirEntry& e : *entries) {
+      const std::string p = dir + "/" + e.name;
+      if (e.type == vfs::FileType::kSymlink) {
+        auto target = fs_->ReadLink(root, p);
+        out += p + " -> " + (target.ok() ? *target : std::string("?")) + "\n";
+        continue;
+      }
+      auto st = fs_->Stat(root, p);
+      if (!st.ok()) {
+        out += p + ": " + common::ErrName(st.error()) + "\n";
+        continue;
+      }
+      out += p + " ino=" + std::to_string(st->ino) + " mode=" + std::to_string(st->mode) +
+             " uid=" + std::to_string(st->uid) + " gid=" + std::to_string(st->gid) +
+             " size=" + std::to_string(st->size) + " nlink=" + std::to_string(st->nlink) + "\n";
+      if (e.type == vfs::FileType::kDirectory) {
+        out += Tree(p);
+        continue;
+      }
+      auto fd = fs_->Open(root, p, vfs::kRead, 0);
+      if (fd.ok()) {
+        std::string data(st->size, '\0');
+        auto r = fs_->Pread(*fd, data.data(), data.size(), 0);
+        out += "  [" + (r.ok() ? data.substr(0, *r) : std::string("?")) + "]\n";
+        fs_->Close(*fd);
+      }
+    }
+    return out;
+  }
+
+  // Runs `body` on a descriptor for `path` opened with `flags` (0644 when
+  // the open creates).
+  Err WithFd(const std::string& path, uint32_t flags, const std::function<Err(vfs::Fd)>& body) {
+    auto fd = fs_->Open(root, path, flags, 0644);
+    if (!fd.ok()) {
+      return fd.error();
+    }
+    const Err e = body(*fd);
+    fs_->Close(*fd);
+    return e;
+  }
+
+  template <typename R>
+  static Err ErrOf(const R& r) {
+    return r.ok() ? Err::kOk : r.error();
+  }
+
+  Cred root{0, 0};
+};
+
+TEST_F(ZofsLeaseTest, LiveForeignLeaseFailsEveryMutationWithBusy) {
+  struct Case {
+    const char* name;
+    const char* leased;  // suffix of the case directory whose inode is leased
+    std::function<Err(const std::string&)> op;
+  };
+  const Case cases[] = {
+      {"O_EXCL create", "",
+       [&](const std::string& d) {
+         return ErrOf(fs_->Open(root, d + "/n", vfs::kCreate | vfs::kExcl | vfs::kWrite, 0644));
+       }},
+      {"open-create", "",
+       [&](const std::string& d) {
+         return ErrOf(fs_->Open(root, d + "/n", vfs::kCreate | vfs::kWrite, 0644));
+       }},
+      {"mkdir", "", [&](const std::string& d) { return ErrOf(fs_->Mkdir(root, d + "/n", 0755)); }},
+      {"symlink", "",
+       [&](const std::string& d) { return ErrOf(fs_->Symlink(root, "f", d + "/n")); }},
+      {"unlink", "", [&](const std::string& d) { return ErrOf(fs_->Unlink(root, d + "/f")); }},
+      {"rmdir", "", [&](const std::string& d) { return ErrOf(fs_->Rmdir(root, d + "/e")); }},
+      {"same-coffer rename", "/sub",
+       [&](const std::string& d) { return ErrOf(fs_->Rename(root, d + "/f", d + "/sub/f")); }},
+      {"cross-coffer rename", "/x",
+       [&](const std::string& d) { return ErrOf(fs_->Rename(root, d + "/f", d + "/x/f")); }},
+      {"chmod split", "/sub",
+       [&](const std::string& d) { return ErrOf(fs_->Chmod(root, d + "/sub/g", 0600)); }},
+      {"chown split", "/sub",
+       [&](const std::string& d) { return ErrOf(fs_->Chown(root, d + "/sub/g", 1000, 1000)); }},
+      {"pwrite", "/f",
+       [&](const std::string& d) {
+         return WithFd(d + "/f", vfs::kWrite,
+                       [&](vfs::Fd fd) { return ErrOf(fs_->Pwrite(fd, "zz", 2, 0)); });
+       }},
+      {"append", "/f",
+       [&](const std::string& d) {
+         return WithFd(d + "/f", vfs::kWrite | vfs::kAppend,
+                       [&](vfs::Fd fd) { return ErrOf(fs_->Write(fd, "zz", 2)); });
+       }},
+      {"ftruncate", "/f",
+       [&](const std::string& d) {
+         return WithFd(d + "/f", vfs::kWrite,
+                       [&](vfs::Fd fd) { return ErrOf(fs_->Ftruncate(fd, 1)); });
+       }},
+  };
+
+  int i = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string d = "/case" + std::to_string(i++);
+    // d roots its own coffer (root's files leave the uid-1000 root group);
+    // f, sub, sub/g and e share it; x roots another (0700 is another group).
+    ASSERT_TRUE(fs_->Mkdir(root, d, 0755).ok());
+    ASSERT_TRUE(fs_->Mkdir(root, d + "/sub", 0755).ok());
+    ASSERT_TRUE(fs_->Mkdir(root, d + "/e", 0755).ok());
+    ASSERT_TRUE(fs_->Mkdir(root, d + "/x", 0700).ok());
+    for (const char* leaf : {"/f", "/sub/g"}) {
+      ASSERT_EQ(WithFd(d + leaf, vfs::kCreate | vfs::kWrite,
+                       [&](vfs::Fd fd) { return ErrOf(fs_->Write(fd, "payload", 7)); }),
+                Err::kOk);
+    }
+    auto dn = fs_->zofs().Lookup(d, true);
+    auto fn = fs_->zofs().Lookup(d + "/f", true);
+    auto xn = fs_->zofs().Lookup(d + "/x", true);
+    ASSERT_TRUE(dn.ok() && fn.ok() && xn.ok());
+    ASSERT_EQ(fn->coffer_id, dn->coffer_id);
+    ASSERT_NE(xn->coffer_id, dn->coffer_id);
+
+    const std::string leased = d + c.leased;
+    SetLease(leased, kForeignOwner, common::NowNs() + 20'000'000'000ull);
+    const std::string before = Tree(d);
+    EXPECT_EQ(c.op(d), Err::kBusy);
+    EXPECT_EQ(Tree(d), before);
+    SetLease(leased, 0, 0);
+    EXPECT_EQ(c.op(d), Err::kOk);
+  }
 }
 
 }  // namespace

@@ -225,4 +225,58 @@ TEST_F(ZofsSplitTest, ChownToNewOwnerSplits) {
   EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
 }
 
+TEST_F(ZofsSplitTest, NewCofferRootsAgreeAcrossCreatePathsAndSurviveCrash) {
+  // Placement (paper §5): a node outside its parent coffer's permission group
+  // roots a new coffer. O_EXCL create, open-create and mkdir must format that
+  // root inode alike, and durably.
+  fs_.reset();
+  kfs_.reset();
+  nvm::Options o;
+  o.size_bytes = 64ull << 20;
+  o.crash_tracking = true;
+  dev_ = std::make_unique<nvm::NvmDevice>(o);
+  mpk::InstallDeviceHook(dev_.get());
+  kernfs::FormatOptions f;
+  f.root_mode = 0755;
+  f.root_uid = 1000;
+  f.root_gid = 1000;
+  kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
+  kfs_->set_kernel_crossing_ns(0);
+  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), cred);
+  dev_->MarkAllPersistent();  // mount state is durable by definition
+
+  const size_t before = CofferCount();
+  ASSERT_TRUE(fs_->Open(cred, "/excl", vfs::kCreate | vfs::kExcl | vfs::kWrite, 0600).ok());
+  ASSERT_TRUE(fs_->Open(cred, "/oc", vfs::kCreate | vfs::kWrite, 0600).ok());
+  ASSERT_TRUE(fs_->Mkdir(cred, "/dir", 0700).ok());
+  ASSERT_EQ(CofferCount(), before + 3);
+
+  auto check = [&]() {
+    for (const char* p : {"/excl", "/oc", "/dir"}) {
+      SCOPED_TRACE(p);
+      const bool is_dir = std::string(p) == "/dir";
+      EXPECT_TRUE(kfs_->CofferFind(p).ok());
+      auto st = fs_->Stat(cred, p);
+      ASSERT_TRUE(st.ok());
+      EXPECT_EQ(st->type, is_dir ? vfs::FileType::kDirectory : vfs::FileType::kRegular);
+      EXPECT_EQ(st->mode, is_dir ? 0700 : 0600);
+      EXPECT_EQ(st->uid, 1000u);
+      EXPECT_EQ(st->gid, 1000u);
+      EXPECT_EQ(st->nlink, is_dir ? 2u : 1u);
+      EXPECT_EQ(st->size, 0u);
+    }
+  };
+  check();
+
+  dev_->SimulateCrash();
+  fs_.reset();
+  kfs_.reset();
+  kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
+  kfs_->set_kernel_crossing_ns(0);
+  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), cred);
+  auto stats = fs_->zofs().RecoverAll();
+  ASSERT_TRUE(stats.ok()) << common::ErrName(stats.error());
+  check();
+}
+
 }  // namespace

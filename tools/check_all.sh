@@ -3,8 +3,9 @@
 # persistence/protection auditor (ZOFS_AUDIT=1), an ASan+UBSan build of the
 # suite, the Clang -Wthread-safety build (when clang++ is installed),
 # zofs_lint over the source tree, clang-tidy (when installed), a
-# deterministic pmem_audit replay of the Figure-8 workload (DWOL), the
-# metadata fault-injection campaign (deterministic across thread counts, plus
+# deterministic pmem_audit replay of the Figure-8 workload (DWOL), bounded
+# crash_explore sweeps of seven workloads plus the planted-rename-bug check,
+# the metadata fault-injection campaign (deterministic across thread counts, plus
 # a bounded sanitized run), a TSan build running the threaded scalability
 # stress, a repeated 2-thread bench_json sweep under true parallelism, and
 # the perfbench self-test. Prints a per-gate summary table and exits nonzero
@@ -127,9 +128,9 @@ if ! diff -q "$A" "$B" >/dev/null; then
 fi
 if [ "$PMEM_OK" -eq 1 ]; then gate "pmem-audit" PASS; else gate "pmem-audit" FAIL; fi
 
-step "crash_explore: DWOL + staged-append DWAL + channel CHURN on zofs, bounded sweeps + determinism check"
+step "crash_explore: DWOL, staged-append DWAL, channel CHURN and the namespace workloads (MWCL MWUL MWRL MIXED) on zofs, bounded sweeps + determinism check"
 CRASH_OK=1
-for wl in DWOL DWAL CHURN; do
+for wl in DWOL DWAL CHURN MWCL MWUL MWRL MIXED; do
   A=$(mktmp); B=$(mktmp)
   "$BUILD_DIR"/tools/crash_explore --workload=$wl --ops=100 --max-points=200 --json > "$A" || CRASH_OK=0
   "$BUILD_DIR"/tools/crash_explore --workload=$wl --ops=100 --max-points=200 --json > "$B" || CRASH_OK=0
@@ -140,6 +141,21 @@ for wl in DWOL DWAL CHURN; do
   fi
 done
 if [ "$CRASH_OK" -eq 1 ]; then gate "crash-explore" PASS; else gate "crash-explore" FAIL; fi
+
+step "crash_explore: planted pre-fix rename (MWRL --legacy-rename-overwrite) must be caught"
+# The replay removes an existing destination before each rename, so a crash
+# in between loses it: the explorer must exit nonzero and report violations.
+A=$(mktmp)
+if "$BUILD_DIR"/tools/crash_explore --workload=MWRL --ops=100 --max-points=200 \
+     --legacy-rename-overwrite --json > "$A"; then
+  echo "crash_explore: planted rename bug went undetected (exit 0)" >&2
+  gate "crash-planted-bug" FAIL
+elif ! grep -q '"violation_count": [1-9]' "$A"; then
+  echo "crash_explore: planted rename bug run reported no violations" >&2
+  gate "crash-planted-bug" FAIL
+else
+  gate "crash-planted-bug" PASS
+fi
 
 step "fault_inject: bounded metadata corruption campaign, determinism check"
 A=$(mktmp); B=$(mktmp)
