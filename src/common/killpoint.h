@@ -27,6 +27,7 @@
 #define SRC_COMMON_KILLPOINT_H_
 
 #include <atomic>
+#include <cstring>
 
 namespace common {
 
@@ -63,6 +64,38 @@ inline void InstallKillPoint(KillPointFn fn, void* ctx) {
 // process cannot store to NVM on its way out).
 inline bool CurrentThreadKilled() { return killpoint_internal::t_killed; }
 inline void SetCurrentThreadKilled(bool v) { killpoint_internal::t_killed = v; }
+
+// The harness side: installs the process-wide handler for its lifetime and
+// removes it on every exit path. While armed at a point, the first crossing
+// of that point kills the thread; later crossings pass until re-armed.
+class ScopedKillArm {
+ public:
+  explicit ScopedKillArm(const char* point = nullptr) : point_(point) {
+    InstallKillPoint(&Fire, this);
+  }
+  ~ScopedKillArm() { InstallKillPoint(nullptr, nullptr); }
+  ScopedKillArm(const ScopedKillArm&) = delete;
+  ScopedKillArm& operator=(const ScopedKillArm&) = delete;
+
+  void Arm(const char* point) {
+    point_ = point;
+    fired_ = false;
+  }
+  void Disarm() { point_ = nullptr; }
+  bool fired() const { return fired_; }
+
+ private:
+  static bool Fire(void* ctx, const char* point) {
+    auto* arm = static_cast<ScopedKillArm*>(ctx);
+    const bool fire =
+        arm->point_ != nullptr && !arm->fired_ && std::strcmp(arm->point_, point) == 0;
+    arm->fired_ = arm->fired_ || fire;
+    return fire;
+  }
+
+  const char* point_;
+  bool fired_ = false;
+};
 
 // A named death site. No handler installed: one relaxed load, no branch
 // taken. Handler installed and electing to fire: marks the thread killed and

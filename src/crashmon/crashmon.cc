@@ -3,26 +3,19 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "src/common/clock.h"
 #include "src/common/json.h"
 #include "src/common/rand.h"
-#include "src/fslib/fslib.h"
-#include "src/kernfs/kernfs.h"
-#include "src/mpk/mpk.h"
-#include "src/nvm/nvm.h"
-#include "src/vfs/vfs.h"
+#include "src/oracle/oracle.h"
 
 namespace crashmon {
 namespace {
 
-using common::Err;
-
-const vfs::Cred kCred{0, 0};
+using oracle::kRoot;
+using RB = oracle::ReadBack::State;
 
 // ---------------------------------------------------------------------------
 // Recorded operations and the in-memory model file system
@@ -330,7 +323,7 @@ void Exec(fslib::FsLib* fs, nvm::NvmDevice* dev, OpRecord* op, FdCache* cache,
   op->begin_fence = dev->sfence_count();
   switch (op->kind) {
     case OpRecord::Kind::kCreate: {
-      auto fd = fs->Open(kCred, op->path, vfs::kCreate | vfs::kWrite, op->mode);
+      auto fd = fs->Open(kRoot, op->path, vfs::kCreate | vfs::kWrite, op->mode);
       op->ok = fd.ok();
       if (fd.ok()) {
         fs->Close(*fd);
@@ -338,7 +331,7 @@ void Exec(fslib::FsLib* fs, nvm::NvmDevice* dev, OpRecord* op, FdCache* cache,
       break;
     }
     case OpRecord::Kind::kWrite: {
-      auto fd = fs->Open(kCred, op->path, vfs::kWrite, 0);
+      auto fd = fs->Open(kRoot, op->path, vfs::kWrite, 0);
       if (fd.ok()) {
         auto r = fs->Pwrite(*fd, op->data.data(), op->data.size(), op->off);
         op->ok = r.ok() && *r == op->data.size();
@@ -347,31 +340,31 @@ void Exec(fslib::FsLib* fs, nvm::NvmDevice* dev, OpRecord* op, FdCache* cache,
       break;
     }
     case OpRecord::Kind::kUnlink:
-      op->ok = fs->Unlink(kCred, op->path).ok();
+      op->ok = fs->Unlink(kRoot, op->path).ok();
       break;
     case OpRecord::Kind::kMkdir:
-      op->ok = fs->Mkdir(kCred, op->path, 0755).ok();
+      op->ok = fs->Mkdir(kRoot, op->path, 0755).ok();
       break;
     case OpRecord::Kind::kRmdir:
-      op->ok = fs->Rmdir(kCred, op->path).ok();
+      op->ok = fs->Rmdir(kRoot, op->path).ok();
       break;
     case OpRecord::Kind::kRename: {
       bool removed = true;
-      if (legacy_rename_overwrite && op->path != op->path2 && fs->Stat(kCred, op->path).ok()) {
-        auto dst = fs->Stat(kCred, op->path2);
+      if (legacy_rename_overwrite && op->path != op->path2 && fs->Stat(kRoot, op->path).ok()) {
+        auto dst = fs->Stat(kRoot, op->path2);
         if (dst.ok()) {
-          removed = (dst->type == vfs::FileType::kDirectory ? fs->Rmdir(kCred, op->path2)
-                                                            : fs->Unlink(kCred, op->path2))
+          removed = (dst->type == vfs::FileType::kDirectory ? fs->Rmdir(kRoot, op->path2)
+                                                            : fs->Unlink(kRoot, op->path2))
                         .ok();
         }
       }
-      op->ok = removed && fs->Rename(kCred, op->path, op->path2).ok();
+      op->ok = removed && fs->Rename(kRoot, op->path, op->path2).ok();
       break;
     }
     case OpRecord::Kind::kAppend: {
       auto it = cache->find(op->path);
       if (it == cache->end()) {
-        auto fd = fs->Open(kCred, op->path, vfs::kWrite | vfs::kAppend, 0);
+        auto fd = fs->Open(kRoot, op->path, vfs::kWrite | vfs::kAppend, 0);
         if (!fd.ok()) {
           break;
         }
@@ -392,26 +385,21 @@ void Exec(fslib::FsLib* fs, nvm::NvmDevice* dev, OpRecord* op, FdCache* cache,
 
 Recording Record(const ExploreOptions& opts) {
   Recording rec;
-  nvm::Options no;
-  no.size_bytes = opts.dev_bytes;
-  no.crash_tracking = true;
-  nvm::NvmDevice dev(no);
-  mpk::InstallDeviceHook(&dev);
-
+  auto dev = oracle::NewDevice(opts.dev_bytes, /*crash_tracking=*/true);
   kernfs::FormatOptions fo;
   fo.root_mode = 0755;
-  auto kfs = std::make_unique<kernfs::KernFs>(&dev, fo);
-  kfs->set_kernel_crossing_ns(0);
   zofs::Options zo;
   // Short lease so locks held in a crash image have expired by the time the
   // exploration workers recover it (leases store wall-clock deadlines).
   zo.lease_ns = 2'000'000;
-  auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
+  oracle::Stack st(dev.get());
+  st.Format(fo, kRoot, zo);
+  fslib::FsLib* fs = st.fs();
 
   Plan plan = BuildPlan(opts.workload, opts.ops, opts.seed);
   FdCache cache;
   for (OpRecord& op : plan.setup) {
-    Exec(fs.get(), &dev, &op, &cache, opts.legacy_rename_overwrite);
+    Exec(fs, dev.get(), &op, &cache, opts.legacy_rename_overwrite);
     if (op.ok) {
       Apply(&rec.base_model, op);
     }
@@ -435,15 +423,15 @@ Recording Record(const ExploreOptions& opts) {
     }
   }
 
-  dev.StartCrashCapture();
-  rec.capture_fence = dev.sfence_count();
-  dev.SnapshotTo(&rec.snapshot);
+  dev->StartCrashCapture();
+  rec.capture_fence = dev->sfence_count();
+  dev->SnapshotTo(&rec.snapshot);
 
   for (OpRecord& op : plan.run) {
     if (plan.clock_step_ns != 0) {
       common::AdvanceNowNsForTest(plan.clock_step_ns);
     }
-    Exec(fs.get(), &dev, &op, &cache, opts.legacy_rename_overwrite);
+    Exec(fs, dev.get(), &op, &cache, opts.legacy_rename_overwrite);
     if (!op.ok) {
       rec.ops_failed++;
     }
@@ -468,12 +456,8 @@ Recording Record(const ExploreOptions& opts) {
     }
   }
 
-  rec.journal = dev.crash_journal();
+  rec.journal = dev->crash_journal();
   rec.ops = std::move(plan.run);
-
-  fs.reset();
-  kfs.reset();
-  mpk::BindThreadToProcess(nullptr);
   return rec;
 }
 
@@ -501,7 +485,7 @@ void AddViolation(std::vector<Violation>* out, const StateCtx& sc, const char* k
 
 bool Walk(vfs::FileSystem* fs, const std::string& dir, std::set<std::string>* files,
           std::set<std::string>* dirs, std::string* err) {
-  auto es = fs->ReadDir(kCred, dir);
+  auto es = fs->ReadDir(kRoot, dir);
   if (!es.ok()) {
     *err = "readdir " + dir + ": " + common::ErrName(es.error());
     return false;
@@ -521,31 +505,6 @@ bool Walk(vfs::FileSystem* fs, const std::string& dir, std::set<std::string>* fi
     }
   }
   return true;
-}
-
-// Reads a whole file. Returns 1 if present (content in *out), 0 if absent,
-// -1 on any other error.
-int ReadAll(vfs::FileSystem* fs, const std::string& p, std::string* out) {
-  auto fd = fs->Open(kCred, p, vfs::kRead, 0);
-  if (!fd.ok()) {
-    return fd.error() == Err::kNoEnt ? 0 : -1;
-  }
-  auto st = fs->Fstat(*fd);
-  if (!st.ok()) {
-    fs->Close(*fd);
-    return -1;
-  }
-  out->assign(st->size, '\0');
-  size_t got = 0;
-  while (got < out->size()) {
-    auto r = fs->Pread(*fd, out->data() + got, out->size() - got, got);
-    if (!r.ok() || *r == 0) {
-      break;
-    }
-    got += *r;
-  }
-  fs->Close(*fd);
-  return got == out->size() ? 1 : -1;
 }
 
 std::string DescribeDiff(const std::string& want, const std::string& got) {
@@ -569,16 +528,16 @@ std::string DescribeDiff(const std::string& want, const std::string& got) {
 // freshly allocated pages whose prior content is legal to observe.
 void CheckTornWrite(vfs::FileSystem* fs, const std::string& p, const std::string& old,
                     const OpRecord& op, const StateCtx& sc, std::vector<Violation>* out) {
-  std::string got;
-  int r = ReadAll(fs, p, &got);
-  if (r < 0) {
+  const oracle::ReadBack rb = oracle::Read(fs, kRoot, p);
+  if (rb.state == RB::kError) {
     AddViolation(out, sc, "walk-failed", "read failed during in-flight write check: " + p);
     return;
   }
-  if (r == 0) {
+  if (rb.state == RB::kAbsent) {
     AddViolation(out, sc, "durability-lost", "file vanished during in-flight write: " + p);
     return;
   }
+  const std::string& got = rb.data;
   const size_t new_size = std::max<size_t>(old.size(), op.off + op.data.size());
   if (got.size() < std::min<size_t>(old.size(), new_size) || got.size() > new_size) {
     AddViolation(out, sc, "atomicity",
@@ -643,24 +602,22 @@ void CheckState(vfs::FileSystem* fs, const ModelState& m, const OpRecord* infl,
     auto src = m.files.find(infl->path);
     if (src != m.files.end()) {
       auto dst = m.files.find(infl->path2);
-      std::string f_cont;
-      std::string t_cont;
-      int rf = ReadAll(fs, infl->path, &f_cont);
-      int rt = ReadAll(fs, infl->path2, &t_cont);
-      if (rf < 0 || rt < 0) {
+      const oracle::ReadBack f = oracle::Read(fs, kRoot, infl->path);
+      const oracle::ReadBack t = oracle::Read(fs, kRoot, infl->path2);
+      if (f.state == RB::kError || t.state == RB::kError) {
         AddViolation(out, sc, "walk-failed",
                      "read failed during rename check: " + infl->path + " -> " + infl->path2);
       } else {
         const bool pre =
-            rf == 1 && f_cont == src->second &&
-            (dst != m.files.end() ? (rt == 1 && t_cont == dst->second) : rt == 0);
-        const bool post = rf == 0 && rt == 1 && t_cont == src->second;
+            f.present() && f.data == src->second &&
+            (dst != m.files.end() ? (t.present() && t.data == dst->second) : !t.present());
+        const bool post = !f.present() && t.present() && t.data == src->second;
         if (!pre && !post) {
           AddViolation(out, sc, "atomicity",
                        "rename " + infl->path + " -> " + infl->path2 + " torn: source " +
-                           (rf == 1 ? "present" : "absent") + ", destination " +
-                           (rt == 1 ? "present" : "absent") +
-                           (rt == 1 ? DescribeDiff(src->second, t_cont) : ""));
+                           (f.present() ? "present" : "absent") + ", destination " +
+                           (t.present() ? "present" : "absent") +
+                           (t.present() ? DescribeDiff(src->second, t.data) : ""));
         }
       }
     }
@@ -674,21 +631,21 @@ void CheckState(vfs::FileSystem* fs, const ModelState& m, const OpRecord* infl,
       CheckTornWrite(fs, p, content, *infl, sc, out);
       continue;
     }
-    std::string got;
-    int r = ReadAll(fs, p, &got);
-    if (r < 0) {
+    const oracle::ReadBack rb = oracle::Read(fs, kRoot, p);
+    if (rb.state == RB::kError) {
       AddViolation(out, sc, "walk-failed", "read failed: " + p);
       continue;
     }
-    if (r == 0) {
+    if (rb.state == RB::kAbsent) {
       if (active && infl->kind == K::kUnlink && infl->path == p) {
         continue;
       }
       AddViolation(out, sc, "durability-lost", "file missing: " + p);
       continue;
     }
-    if (got != content) {
-      AddViolation(out, sc, "durability-lost", "content mismatch: " + p + DescribeDiff(content, got));
+    if (rb.data != content) {
+      AddViolation(out, sc, "durability-lost",
+                   "content mismatch: " + p + DescribeDiff(content, rb.data));
     }
   }
 
@@ -701,16 +658,16 @@ void CheckState(vfs::FileSystem* fs, const ModelState& m, const OpRecord* infl,
   // are unconstrained (a persisted size line does not imply the data or
   // pointer lines underneath it persisted).
   for (const auto& [p, as] : m.appends) {
-    std::string got;
-    int r = ReadAll(fs, p, &got);
-    if (r < 0) {
+    const oracle::ReadBack rb = oracle::Read(fs, kRoot, p);
+    if (rb.state == RB::kError) {
       AddViolation(out, sc, "walk-failed", "read failed: " + p);
       continue;
     }
-    if (r == 0) {
+    if (rb.state == RB::kAbsent) {
       AddViolation(out, sc, "durability-lost", "append file missing: " + p);
       continue;
     }
+    const std::string& got = rb.data;
     auto fit = m.append_final.find(p);
     const size_t max_size = fit != m.append_final.end() ? fit->second.size() : as.written.size();
     if (got.size() < as.synced.size() || got.size() > max_size) {
@@ -731,8 +688,8 @@ void CheckState(vfs::FileSystem* fs, const ModelState& m, const OpRecord* infl,
       continue;
     }
     if (active && infl->kind == K::kCreate && infl->path == p) {
-      std::string got;
-      if (ReadAll(fs, p, &got) == 1 && !got.empty()) {
+      const oracle::ReadBack rb = oracle::Read(fs, kRoot, p);
+      if (rb.present() && !rb.data.empty()) {
         AddViolation(out, sc, "atomicity",
                      "in-flight create visible with nonzero size: " + p);
       }
@@ -745,118 +702,57 @@ void CheckState(vfs::FileSystem* fs, const ModelState& m, const OpRecord* infl,
 // ---------------------------------------------------------------------------
 // Exploration
 
-struct WorkItem {
-  uint64_t state_id = 0;
-  int64_t base_epoch = -1;  // crash image baseline (-1 = capture snapshot)
-  int variant = -1;         // -1 = post-fence state, else mid-epoch subset id
-};
-
-std::vector<bool> PickSubset(uint64_t seed, int64_t base, int variant, size_t n) {
-  common::Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(base + 2)) ^
-                  (0x517cc1b727220a95ULL * static_cast<uint64_t>(variant + 1)));
-  std::vector<bool> pick(n);
-  bool any = false;
-  for (size_t i = 0; i < n; i++) {
-    pick[i] = (rng.Next() & 1) != 0;
-    any = any || pick[i];
-  }
-  if (!any && n != 0) {
-    pick[static_cast<size_t>(base + 2 + variant) % n] = true;
-  }
-  return pick;
-}
-
-std::string DescribeFault(const mpk::ViolationError& e) {
-  std::ostringstream os;
-  os << "mpk fault: " << (e.is_write ? "write" : "read") << " off=0x" << std::hex << e.off
-     << std::dec << " key=" << static_cast<int>(e.key);
-  return os.str();
-}
-
 void RecoverAndCheck(nvm::NvmDevice* dev, const ModelState& m, const OpRecord* infl,
                      const StateCtx& sc, std::vector<Violation>* out) {
-  auto kfs = std::make_unique<kernfs::KernFs>(dev);
-  kfs->set_kernel_crossing_ns(0);
-  auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred);
-  fs->BindThread();
-  // Recovery must never fault, whatever the crash image looks like — an
-  // escaped simulated page fault on a torn image is itself a finding.
-  try {
-    auto stats = fs->ufs().RecoverAll();
-    if (!stats.ok()) {
-      AddViolation(out, sc, "recovery-failed", common::ErrName(stats.error()));
-    } else {
-      std::string alloc = kfs->CheckAllocTableForTest();
-      if (!alloc.empty()) {
-        AddViolation(out, sc, "fsck-alloc", alloc.substr(0, alloc.find('\n')));
-      }
-      CheckState(fs.get(), m, infl, sc, out);
-    }
-  } catch (const mpk::ViolationError& e) {
-    AddViolation(out, sc, "recovery-failed", DescribeFault(e));
+  oracle::Stack st(dev);
+  st.Mount();
+  const oracle::FsckResult fsck = oracle::Fsck(st);
+  if (!fsck.ok()) {
+    AddViolation(out, sc, fsck.kind.c_str(), fsck.detail);
+    return;
   }
-  fs.reset();
-  kfs.reset();
-  mpk::BindThreadToProcess(nullptr);
+  CheckState(st.fs(), m, infl, sc, out);
 }
 
-void Worker(const Recording& rec, const ExploreOptions& opts, const WorkItem* items, size_t n,
-            std::vector<Violation>* out) {
-  nvm::Options no;
-  no.size_bytes = opts.dev_bytes;
-  nvm::NvmDevice dev(no);
-  mpk::InstallDeviceHook(&dev);
-  nvm::CrashImageBuilder builder(rec.snapshot, &rec.journal);
-
-  // Items arrive in non-decreasing base_epoch order, so the model advances
-  // incrementally in lockstep with the image builder.
+// Checks a contiguous slice of the crash points on a worker-private device,
+// appending each point's violations to per_point[point id]. Points arrive in
+// non-decreasing base-epoch order, so the model advances incrementally in
+// lockstep with the image sweep.
+void Worker(const Recording& rec, const ExploreOptions& opts,
+            std::span<const oracle::CrashPoint> points, std::vector<Violation>* per_point) {
+  auto dev = oracle::NewDevice(opts.dev_bytes);
   ModelState model = rec.base_model;
   size_t applied = 0;
-  std::vector<uint8_t> scratch;
-
-  for (size_t i = 0; i < n; i++) {
-    const WorkItem& it = items[i];
-    builder.AdvanceTo(it.base_epoch);
-    const uint64_t f =
-        it.base_epoch < 0 ? rec.capture_fence : rec.journal[it.base_epoch].fence_seq;
-
-    const std::vector<uint8_t>* img = &builder.image();
-    if (it.variant >= 0) {
-      std::vector<bool> pick =
-          PickSubset(opts.seed, it.base_epoch, it.variant, builder.NextEpochLineCount());
-      if (!builder.MaterializeMidEpoch(pick, &scratch)) {
-        continue;
-      }
-      img = &scratch;
-    }
-
-    while (applied < rec.ops.size() && rec.ops[applied].end_fence <= f) {
-      if (rec.ops[applied].ok) {
-        Apply(&model, rec.ops[applied]);
-      }
-      applied++;
-    }
-    const OpRecord* infl = nullptr;
-    if (it.variant < 0) {
-      if (applied < rec.ops.size() && rec.ops[applied].begin_fence < f) {
-        infl = &rec.ops[applied];
-      }
-    } else {
-      const uint64_t f2 = rec.journal[it.base_epoch + 1].fence_seq;
-      size_t j = applied;
-      while (j < rec.ops.size() && rec.ops[j].end_fence < f2) {
-        j++;
-      }
-      if (j < rec.ops.size() && rec.ops[j].begin_fence < f2) {
-        infl = &rec.ops[j];
-      }
-    }
-
-    dev.RestoreFrom(img->data(), img->size());
-    StateCtx sc{it.state_id, it.base_epoch, f, it.variant};
-    RecoverAndCheck(&dev, model, infl, sc, out);
-  }
-  mpk::BindThreadToProcess(nullptr);
+  oracle::SweepImages(
+      rec.snapshot, rec.journal, opts.seed, points,
+      [&](const oracle::CrashPoint& it, const std::vector<uint8_t>& img) {
+        const uint64_t f =
+            it.base_epoch < 0 ? rec.capture_fence : rec.journal[it.base_epoch].fence_seq;
+        while (applied < rec.ops.size() && rec.ops[applied].end_fence <= f) {
+          if (rec.ops[applied].ok) {
+            Apply(&model, rec.ops[applied]);
+          }
+          applied++;
+        }
+        const OpRecord* infl = nullptr;
+        if (it.variant < 0) {
+          if (applied < rec.ops.size() && rec.ops[applied].begin_fence < f) {
+            infl = &rec.ops[applied];
+          }
+        } else {
+          const uint64_t f2 = rec.journal[it.base_epoch + 1].fence_seq;
+          size_t j = applied;
+          while (j < rec.ops.size() && rec.ops[j].end_fence < f2) {
+            j++;
+          }
+          if (j < rec.ops.size() && rec.ops[j].begin_fence < f2) {
+            infl = &rec.ops[j];
+          }
+        }
+        dev->RestoreFrom(img.data(), img.size());
+        StateCtx sc{it.id, it.base_epoch, f, it.variant};
+        RecoverAndCheck(dev.get(), model, infl, sc, &per_point[it.id]);
+      });
 }
 
 }  // namespace
@@ -910,52 +806,22 @@ ExploreReport Explore(const ExploreOptions& opts) {
   rep.ops_failed = rec.ops_failed;
   rep.epochs = rec.journal.size();
 
-  // Deterministic enumeration: for each baseline (the capture snapshot, then
-  // every post-fence state) the baseline itself, then its mid-epoch variants
-  // drawn from the following epoch. A cap keeps a prefix of this order.
-  std::vector<WorkItem> items;
-  const int64_t epochs = static_cast<int64_t>(rec.journal.size());
-  uint64_t id = 0;
-  for (int64_t base = -1; base < epochs; base++) {
-    items.push_back({id++, base, -1});
-    if (base + 1 < epochs) {
-      for (uint32_t k = 0; k < opts.mid_epoch_per_fence; k++) {
-        items.push_back({id++, base, static_cast<int>(k)});
-      }
-    }
-    if (opts.max_points != 0 && items.size() >= opts.max_points) {
-      items.resize(opts.max_points);
-      break;
-    }
-  }
-  rep.states_explored = items.size();
-  for (const WorkItem& it : items) {
-    if (it.variant >= 0) {
+  const std::vector<oracle::CrashPoint> points =
+      oracle::CrashPoints(rec.journal.size(), opts.mid_epoch_per_fence, opts.max_points);
+  rep.states_explored = points.size();
+  for (const oracle::CrashPoint& p : points) {
+    if (p.variant >= 0) {
       rep.mid_epoch_states++;
     }
   }
 
-  int threads = std::max(1, opts.threads);
-  threads = static_cast<int>(std::min<size_t>(threads, items.empty() ? 1 : items.size()));
-  const size_t chunk = (items.size() + threads - 1) / threads;
-  std::vector<std::vector<Violation>> per(threads);
-  std::vector<std::thread> pool;
-  for (int w = 0; w < threads; w++) {
-    const size_t lo = w * chunk;
-    const size_t hi = std::min(items.size(), lo + chunk);
-    if (lo >= hi) {
-      break;
-    }
-    pool.emplace_back(Worker, std::cref(rec), std::cref(opts), items.data() + lo, hi - lo,
-                      &per[w]);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-
-  // Chunks are contiguous in enumeration order, so concatenation restores the
-  // global deterministic order regardless of the thread count.
-  for (const std::vector<Violation>& v : per) {
+  // Violations are kept per point, so concatenating them in point order gives
+  // the same report for any thread count.
+  std::vector<std::vector<Violation>> per_point(points.size());
+  oracle::FanOut(points.size(), opts.threads, [&](size_t lo, size_t hi) {
+    Worker(rec, opts, std::span(points).subspan(lo, hi - lo), per_point.data());
+  });
+  for (const std::vector<Violation>& v : per_point) {
     rep.violation_count += v.size();
     for (const Violation& x : v) {
       if (rep.violations.size() < ExploreReport::kMaxViolationDetails) {

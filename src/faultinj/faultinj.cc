@@ -6,30 +6,24 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/json.h"
 #include "src/common/rand.h"
 #include "src/common/result.h"
-#include "src/fslib/fslib.h"
-#include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
-#include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 #include "src/zofs/layout.h"
-#include "src/zofs/zofs.h"
 
 namespace faultinj {
 
 namespace {
 
 using common::Err;
-
-constexpr vfs::Cred kCred{0, 0};
+using oracle::kRoot;
 
 // Logical time is pinned here for the whole campaign so every lease-expiry
 // and quarantine-backoff decision replays identically across runs and worker
@@ -87,7 +81,6 @@ struct Trial {
 struct SetupInfo {
   std::vector<uint8_t> image;
   size_t dev_bytes = 0;
-  uint64_t num_pages = 0;
   uint64_t alloc_table_off = 0;
   uint32_t root_cid = 0;
   uint32_t secret_cid = 0;  // private coffer of /secret (mode 0600)
@@ -132,6 +125,15 @@ Patch PRunPage(uint64_t off, uint64_t next) {
   return p;
 }
 
+// Short leases for the setup and every trial mount; `raw_deref` plants the
+// pre-hardening dereference discipline (CampaignOptions::raw_deref_for_test).
+zofs::Options StackOptions(bool raw_deref) {
+  zofs::Options zo;
+  zo.lease_ns = 1'000'000;
+  zo.raw_deref_for_test = raw_deref;
+  return zo;
+}
+
 // ---------------------------------------------------------------------------
 // Setup: run the workload, harvest corruption targets, snapshot.
 
@@ -139,32 +141,21 @@ SetupInfo Setup(const CampaignOptions& opts) {
   SetupInfo s;
   s.dev_bytes = opts.dev_bytes;
 
-  nvm::Options no;
-  no.size_bytes = opts.dev_bytes;
-  nvm::NvmDevice dev(no);
-  mpk::InstallDeviceHook(&dev);
-
+  auto dev = oracle::NewDevice(opts.dev_bytes);
   kernfs::FormatOptions fo;
   fo.root_mode = 0755;
-  auto kfs = std::make_unique<kernfs::KernFs>(&dev, fo);
-  kfs->set_kernel_crossing_ns(0);
-  zofs::Options zo;
-  zo.lease_ns = 1'000'000;
-  auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
+  oracle::Stack st(dev.get());
+  st.Format(fo, kRoot, StackOptions(/*raw_deref=*/false));
+  fslib::FsLib* fs = st.fs();
+  kernfs::KernFs* kfs = st.kfs();
 
-  auto teardown = [&]() {
-    fs.reset();
-    kfs.reset();
-    mpk::BindThreadToProcess(nullptr);
-  };
   auto fail = [&](const std::string& m) {
     s.err = m;
-    teardown();
     return s;
   };
 
   auto put = [&](const std::string& path, uint16_t mode, const std::string& data) -> bool {
-    auto fd = fs->Open(kCred, path, vfs::kCreate | vfs::kWrite, mode);
+    auto fd = fs->Open(kRoot, path, vfs::kCreate | vfs::kWrite, mode);
     if (!fd.ok()) {
       return false;
     }
@@ -173,7 +164,7 @@ SetupInfo Setup(const CampaignOptions& opts) {
     return n.ok() && *n == data.size();
   };
 
-  if (!fs->Mkdir(kCred, "/d", 0755).ok()) {
+  if (!fs->Mkdir(kRoot, "/d", 0755).ok()) {
     return fail("setup: mkdir /d failed");
   }
   for (int i = 0; i < kDirFiles; i++) {
@@ -229,19 +220,19 @@ SetupInfo Setup(const CampaignOptions& opts) {
     return fail("setup: FilePages harvest failed");
   }
 
-  const auto* di = reinterpret_cast<const zofs::Inode*>(dev.base() + s.d_ino);
+  const auto* di = reinterpret_cast<const zofs::Inode*>(dev->base() + s.d_ino);
   s.d_l1 = di->l1_dir;
   if (s.d_l1 == 0) {
     return fail("setup: /d has no L1 directory page");
   }
-  const auto* slots = reinterpret_cast<const uint64_t*>(dev.base() + s.d_l1);
+  const auto* slots = reinterpret_cast<const uint64_t*>(dev->base() + s.d_l1);
   for (uint64_t i = 0; i < zofs::kL1Slots && s.d_l2 == 0; i++) {
     s.d_l2 = slots[i];
   }
   if (s.d_l2 == 0) {
     return fail("setup: /d has no populated L2 page");
   }
-  const auto* l2 = reinterpret_cast<const zofs::L2Page*>(dev.base() + s.d_l2);
+  const auto* l2 = reinterpret_cast<const zofs::L2Page*>(dev->base() + s.d_l2);
   for (uint64_t i = 0; i < zofs::kL2Embedded; i++) {
     if (l2->embedded[i].in_use()) {
       s.dentry_off = s.d_l2 + offsetof(zofs::L2Page, embedded) + i * sizeof(zofs::Dentry);
@@ -254,12 +245,11 @@ SetupInfo Setup(const CampaignOptions& opts) {
 
   s.root_pool = kfs->RootPageOf(s.root_cid)->custom_off;
   s.secret_pool = kfs->RootPageOf(s.secret_cid)->custom_off;
-  const auto* sb = reinterpret_cast<const kernfs::Superblock*>(dev.base());
+  const auto* sb = reinterpret_cast<const kernfs::Superblock*>(dev->base());
   s.alloc_table_off = sb->alloc_table_off;
-  s.num_pages = sb->num_pages;
 
-  teardown();
-  dev.SnapshotTo(&s.image);
+  st.Unmount();
+  dev->SnapshotTo(&s.image);
   return s;
 }
 
@@ -433,39 +423,13 @@ std::vector<Trial> BuildTrials(const SetupInfo& s, const CampaignOptions& opts) 
 // ---------------------------------------------------------------------------
 // Trial execution
 
-int Severity(Outcome o) {
-  switch (o) {
-    case Outcome::kBenign:
-      return 0;
-    case Outcome::kDetected:
-      return 1;
-    case Outcome::kSilentData:
-      return 2;
-    case Outcome::kHang:
-      return 3;
-    case Outcome::kCrash:
-      return 4;
-    case Outcome::kEscape:
-      return 5;
-  }
-  return 0;
-}
+// Outcomes from least to most severe; a trial reports its worst.
+constexpr Outcome kBySeverity[] = {Outcome::kBenign, Outcome::kDetected, Outcome::kSilentData,
+                                   Outcome::kHang,   Outcome::kCrash,    Outcome::kEscape};
 
-Outcome FromSeverity(int s) {
-  switch (s) {
-    case 1:
-      return Outcome::kDetected;
-    case 2:
-      return Outcome::kSilentData;
-    case 3:
-      return Outcome::kHang;
-    case 4:
-      return Outcome::kCrash;
-    case 5:
-      return Outcome::kEscape;
-    default:
-      return Outcome::kBenign;
-  }
+int Severity(Outcome o) {
+  return static_cast<int>(std::find(std::begin(kBySeverity), std::end(kBySeverity), o) -
+                          std::begin(kBySeverity));
 }
 
 // Collects the worst outcome seen so far plus the first detail at that
@@ -512,24 +476,33 @@ void Battery(fslib::FsLib* fs, const SetupInfo& s, const Trial& t, Verdict* v) {
   auto check_read = [&](const char* name, const std::string& path, const std::string& expect,
                         bool compare) {
     op(name, [&]() {
-      auto fd = fs->Open(kCred, path, vfs::kRead, 0);
+      const oracle::ReadBack rb = oracle::Read(fs, kRoot, path, expect.size());
+      if (!rb.present()) {
+        fail(name, rb.err);
+      } else if (compare && rb.data != expect) {
+        v->Note(Outcome::kSilentData, std::string(name) + ": content mismatch");
+      }
+    });
+  };
+  // Writes `data` at `off`; a create makes the file 0644.
+  auto write_at = [&](const char* name, const std::string& path, uint32_t flags,
+                      const std::string& data, uint64_t off) {
+    op(name, [&]() {
+      auto fd = fs->Open(kRoot, path, flags, 0644);
       if (!fd.ok()) {
         fail(name, fd.error());
         return;
       }
-      std::string buf(expect.size(), '\0');
-      auto n = fs->Pread(*fd, buf.data(), buf.size(), 0);
+      auto n = fs->Pwrite(*fd, data.data(), data.size(), off);
       fs->Close(*fd);
       if (!n.ok()) {
         fail(name, n.error());
-      } else if (compare && (*n != expect.size() || buf != expect)) {
-        v->Note(Outcome::kSilentData, std::string(name) + ": content mismatch");
       }
     });
   };
 
   op("stat /big", [&]() {
-    auto st = fs->Stat(kCred, "/big");
+    auto st = fs->Stat(kRoot, "/big");
     if (!st.ok()) {
       fail("stat /big", st.error());
     } else if (!t.big_data_patched && st->size != kBigBytes) {
@@ -537,21 +510,9 @@ void Battery(fslib::FsLib* fs, const SetupInfo& s, const Trial& t, Verdict* v) {
     }
   });
   check_read("read /big", "/big", Pattern(1000, kBigBytes), !t.big_data_patched);
-  op("write /big", [&]() {
-    auto fd = fs->Open(kCred, "/big", vfs::kWrite, 0);
-    if (!fd.ok()) {
-      fail("write /big", fd.error());
-      return;
-    }
-    const std::string data = Pattern(1001, 64);
-    auto n = fs->Pwrite(*fd, data.data(), data.size(), nvm::kPageSize);
-    fs->Close(*fd);
-    if (!n.ok()) {
-      fail("write /big", n.error());
-    }
-  });
+  write_at("write /big", "/big", vfs::kWrite, Pattern(1001, 64), nvm::kPageSize);
   op("readdir /d", [&]() {
-    auto ents = fs->ReadDir(kCred, "/d");
+    auto ents = fs->ReadDir(kRoot, "/d");
     if (!ents.ok()) {
       fail("readdir /d", ents.error());
       return;
@@ -573,46 +534,23 @@ void Battery(fslib::FsLib* fs, const SetupInfo& s, const Trial& t, Verdict* v) {
     }
   });
   op("stat /d/f0007", [&]() {
-    auto st = fs->Stat(kCred, "/d/" + FileName(7));
+    auto st = fs->Stat(kRoot, "/d/" + FileName(7));
     if (!st.ok()) {
       fail("stat /d/f0007", st.error());
     }
   });
-  op("create /d/gnew", [&]() {
-    auto fd = fs->Open(kCred, "/d/gnew", vfs::kCreate | vfs::kWrite, 0644);
-    if (!fd.ok()) {
-      fail("create /d/gnew", fd.error());
-      return;
-    }
-    const std::string data = Pattern(1002, 64);
-    auto n = fs->Pwrite(*fd, data.data(), data.size(), 0);
-    fs->Close(*fd);
-    if (!n.ok()) {
-      fail("create /d/gnew", n.error());
-    }
-  });
+  write_at("create /d/gnew", "/d/gnew", vfs::kCreate | vfs::kWrite, Pattern(1002, 64), 0);
   check_read("read /secret", "/secret", Pattern(2000, kSecretBytes), true);
   if (t.victim == s.secret_cid) {
     // Exercise the victim coffer's allocator (extending write) — this is
     // what walks a corrupted pool/free list when those are the targets.
-    op("extend /secret", [&]() {
-      auto fd = fs->Open(kCred, "/secret", vfs::kWrite, 0);
-      if (!fd.ok()) {
-        fail("extend /secret", fd.error());
-        return;
-      }
-      const std::string data = Pattern(2001, nvm::kPageSize);
-      auto n = fs->Pwrite(*fd, data.data(), data.size(), kSecretBytes);
-      fs->Close(*fd);
-      if (!n.ok()) {
-        fail("extend /secret", n.error());
-      }
-    });
+    write_at("extend /secret", "/secret", vfs::kWrite, Pattern(2001, nvm::kPageSize),
+             kSecretBytes);
   }
   // Root-coffer liveness: a multi-page create exercises the (possibly
   // corrupted) root allocator and must never fault.
   op("create /t_live", [&]() {
-    auto fd = fs->Open(kCred, "/t_live", vfs::kCreate | vfs::kWrite, 0644);
+    auto fd = fs->Open(kRoot, "/t_live", vfs::kCreate | vfs::kWrite, 0644);
     if (!fd.ok()) {
       fail("create /t_live", fd.error());
       return;
@@ -640,25 +578,18 @@ void Battery(fslib::FsLib* fs, const SetupInfo& s, const Trial& t, Verdict* v) {
 // The escape oracle: any byte change in a page that — per the *corrupted*
 // allocation table — belongs to a coffer other than the victim or the root
 // coffer means damage crossed the MPK wall. (Root-coffer pages are modified
-// legitimately by the battery, so the oracle watches only the untouched
-// sibling coffers; /vault exists solely for this.)
+// legitimately by the battery, as are free and kernel pages, so the oracle
+// watches only the untouched sibling coffers; /vault exists solely for this.)
 void CheckSiblings(nvm::NvmDevice* dev, const std::vector<uint8_t>& img, const SetupInfo& s,
                    const Trial& t, const char* when, Verdict* v) {
-  for (uint64_t pg = 0; pg < s.num_pages; pg++) {
-    uint32_t owner;
-    memcpy(&owner, img.data() + s.alloc_table_off + pg * sizeof(kernfs::AllocEntry), 4);
-    if (owner == 0 || owner == kernfs::kKernelOwner || owner == s.root_cid ||
-        owner == t.victim) {
-      continue;
-    }
-    if (memcmp(dev->base() + pg * nvm::kPageSize, img.data() + pg * nvm::kPageSize,
-               nvm::kPageSize) != 0) {
-      char d[128];
-      snprintf(d, sizeof(d), "sibling coffer %u page %llu modified %s", owner,
-               static_cast<unsigned long long>(pg), when);
-      v->Note(Outcome::kEscape, d);
-      return;
-    }
+  const std::vector<oracle::Escape> esc =
+      oracle::ContainmentDiff(img, std::span<const uint8_t>(dev->base(), dev->size()),
+                              {0, kernfs::kKernelOwner, s.root_cid, t.victim});
+  if (!esc.empty()) {
+    char d[128];
+    snprintf(d, sizeof(d), "sibling coffer %u page %llu modified %s", esc[0].owner,
+             static_cast<unsigned long long>(esc[0].page), when);
+    v->Note(Outcome::kEscape, d);
   }
 }
 
@@ -677,26 +608,23 @@ void RunTrial(nvm::NvmDevice* dev, const SetupInfo& s, const CampaignOptions& op
   dev->RestoreFrom(img.data(), img.size());
 
   Verdict v;
-  zofs::Options zo;
-  zo.raw_deref_for_test = opts.raw_deref_for_test;
-  zo.lease_ns = 1'000'000;
+  const zofs::Options zo = StackOptions(opts.raw_deref_for_test);
 
   // Phase 1: remount and drive the op battery. Whatever the image looks
   // like, nothing may leak a simulated page fault past FSLib.
   try {
-    auto kfs = std::make_unique<kernfs::KernFs>(dev);
-    kfs->set_kernel_crossing_ns(0);
-    auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
+    oracle::Stack st(dev);
+    st.Mount(kRoot, zo);
     if (t.cls == FaultClass::kChanEntryScribble) {
       // The submission ring is volatile DRAM, so this fault cannot be planted
       // in the image: queue an async refill, scribble it in place, and force
       // the drain. The kernel must refuse the entry with kInval before
       // dispatching — anything else is a protection failure.
-      kernfs::Channel* ch = fs->zofs().channels().Current();
+      kernfs::Channel* ch = st.fs()->zofs().channels().Current();
       if (ch == nullptr) {
         v.Note(Outcome::kSilentData, "channel: no channel to corrupt (channels disabled)");
       } else {
-        ch->SubmitEnlarge(kfs->root_coffer_id(), 8);
+        ch->SubmitEnlarge(st.kfs()->root_coffer_id(), 8);
         ch->CorruptQueuedForTest(0);
         ch->Flush();
         bool refused = false;
@@ -713,21 +641,18 @@ void RunTrial(nvm::NvmDevice* dev, const SetupInfo& s, const CampaignOptions& op
         }
       }
     }
-    Battery(fs.get(), s, t, &v);
-    fs.reset();
-    kfs.reset();
+    Battery(st.fs(), s, t, &v);
   } catch (const mpk::ViolationError&) {
     v.Note(Outcome::kCrash, "mount/ops: escaped simulated page fault");
   }
-  mpk::BindThreadToProcess(nullptr);
   CheckSiblings(dev, img, s, t, "after ops", &v);
 
   // Phase 2: KernFS-mediated repair of the victim coffer, then a liveness
   // probe. Recovery runs on arbitrary garbage, so it must be fault-free too.
   try {
-    auto kfs = std::make_unique<kernfs::KernFs>(dev);
-    kfs->set_kernel_crossing_ns(0);
-    auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
+    oracle::Stack st(dev);
+    st.Mount(kRoot, zo);
+    fslib::FsLib* fs = st.fs();
     auto r = fs->zofs().RecoverCoffer(t.victim);
     if (!r.ok()) {
       if (r.error() == Err::kFault) {
@@ -736,31 +661,17 @@ void RunTrial(nvm::NvmDevice* dev, const SetupInfo& s, const CampaignOptions& op
         v.Note(Outcome::kDetected, std::string("recover: ") + common::ErrName(r.error()));
       }
     }
-    auto st = fs->Stat(kCred, "/big");
-    if (!st.ok() && st.error() == Err::kFault) {
+    auto big = fs->Stat(kRoot, "/big");
+    if (!big.ok() && big.error() == Err::kFault) {
       v.Note(Outcome::kCrash, "post-recovery stat: simulated page fault");
     }
-    fs.reset();
-    kfs.reset();
   } catch (const mpk::ViolationError&) {
     v.Note(Outcome::kCrash, "recover: escaped simulated page fault");
   }
-  mpk::BindThreadToProcess(nullptr);
   CheckSiblings(dev, img, s, t, "after recovery", &v);
 
-  out->outcome = FromSeverity(v.worst);
+  out->outcome = kBySeverity[v.worst];
   out->detail = v.detail;
-}
-
-void Worker(const SetupInfo* s, const CampaignOptions* opts, const Trial* trials, size_t n,
-            TrialResult* results) {
-  nvm::Options no;
-  no.size_bytes = opts->dev_bytes;
-  nvm::NvmDevice dev(no);
-  mpk::InstallDeviceHook(&dev);
-  for (size_t i = 0; i < n; i++) {
-    RunTrial(&dev, *s, *opts, trials[i], &results[i]);
-  }
 }
 
 size_t ClassIndex(FaultClass c) {
@@ -836,34 +747,23 @@ CampaignReport RunCampaign(const CampaignOptions& opts) {
   rep.raw_mode = opts.raw_deref_for_test;
   rep.by_class.resize(std::size(kAllFaultClasses));
 
-  // Pin logical time for the whole campaign (see kEpochNs).
-  common::SetNowNsForTest(kEpochNs);
+  // Pin logical time for the whole campaign (see kEpochNs); the caller's
+  // own pin, if any, is back in force on return.
+  common::ScopedClockPin pin(kEpochNs);
 
   SetupInfo s = Setup(opts);
   if (!s.err.empty()) {
     rep.setup_error = s.err;
-    common::SetNowNsForTest(0);
     return rep;
   }
   std::vector<Trial> trials = BuildTrials(s, opts);
   rep.results.resize(trials.size());
-
-  const size_t nthreads =
-      std::max<size_t>(1, std::min<size_t>(opts.threads <= 0 ? 1 : opts.threads, trials.size()));
-  const size_t chunk = (trials.size() + nthreads - 1) / nthreads;
-  std::vector<std::thread> workers;
-  for (size_t w = 0; w < nthreads; w++) {
-    const size_t lo = w * chunk;
-    const size_t hi = std::min(trials.size(), lo + chunk);
-    if (lo >= hi) {
-      break;
+  oracle::FanOut(trials.size(), opts.threads, [&](size_t lo, size_t hi) {
+    auto dev = oracle::NewDevice(opts.dev_bytes);
+    for (size_t i = lo; i < hi; i++) {
+      RunTrial(dev.get(), s, opts, trials[i], &rep.results[i]);
     }
-    workers.emplace_back(Worker, &s, &opts, trials.data() + lo, hi - lo, rep.results.data() + lo);
-  }
-  for (std::thread& t : workers) {
-    t.join();
-  }
-  common::SetNowNsForTest(0);
+  });
 
   rep.trials = rep.results.size();
   for (const TrialResult& r : rep.results) {

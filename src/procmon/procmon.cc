@@ -5,8 +5,8 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -14,32 +14,14 @@
 #include "src/common/clock.h"
 #include "src/common/killpoint.h"
 #include "src/common/rand.h"
-#include "src/fslib/fslib.h"
-#include "src/kernfs/kernfs.h"
 #include "src/mpk/keyclass.h"
 #include "src/mpk/mpk.h"
-#include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 #include "src/zofs/alloc.h"
-#include "src/zofs/zofs.h"
 
 namespace procmon {
 
 namespace {
-
-// One armed death site; fires at most once per arming.
-struct KillArm {
-  const char* point = nullptr;
-  bool fired = false;
-};
-
-bool KillHandler(void* ctx, const char* point) {
-  auto* arm = static_cast<KillArm*>(ctx);
-  if (arm->point != nullptr && !arm->fired && std::strcmp(arm->point, point) == 0) {
-    arm->fired = true;
-    return true;
-  }
-  return false;
-}
 
 // Key-pressure mode: 18 pairwise-distinct permission sets, each spawning its
 // own coffer (and so its own protection class) under the tenant dir. With
@@ -85,7 +67,8 @@ class Soak {
         base_mappings_(kernfs::ReapedMappingCount()),
         base_grants_(kernfs::ReapedGrantPageCount()),
         base_kevict_(mpk::KeyEvictionCount()),
-        base_kretag_(mpk::KeyRetagPageCount()) {
+        base_kretag_(mpk::KeyRetagPageCount()),
+        dev_(oracle::NewDevice(opts.device_mb << 20, /*crash_tracking=*/true)) {
     rep_.seed = opts.seed;
   }
 
@@ -95,7 +78,6 @@ class Soak {
   static constexpr uint64_t kBaseNs = 1'000'000'000ull;
   static constexpr uint64_t kLeaseJumpNs = 10'000'000'000ull;  // > lease + backoff
 
-  void Boot(bool format);
   void MakeTenant(Tenant* t, uint32_t id);   // may throw ProcessKilledError
   void ReopenFds(Tenant* t);
   void RecycleGracefully(Tenant* t);
@@ -107,19 +89,21 @@ class Soak {
   void JanitorSweepLists();
   void CrashRemount();
   void VerifyDurable(fslib::FsLib* fs, const vfs::Cred& cred, const Tenant& t);
-  std::unordered_set<uint64_t> PagesOwnedBy(uint32_t uid);
+  std::set<uint32_t> CoffersOf(uint32_t uid);
+  kernfs::KernFs* kfs() { return stack_.kfs(); }
+  // The root survivor: the stack's own process.
+  fslib::FsLib* janitor() { return stack_.fs(); }
 
   SoakOptions opts_;
   SoakReport rep_;
   common::Rng rng_;
-  KillArm arm_;
+  common::ScopedKillArm arm_;
   const uint64_t base_steals_, base_repairs_, base_lists_, base_mappings_, base_grants_;
   const uint64_t base_kevict_, base_kretag_;
 
   std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> janitor_;
-  const vfs::Cred root_cred_{0, 0};
+  oracle::Stack stack_{dev_.get()};
+  const vfs::Cred root_cred_ = oracle::kRoot;
   const uint64_t janitor_vtid_ = 7;
   std::vector<Tenant> tenants_;
   // Abandoned FsLibs held until the reaper has drained their channel rings.
@@ -129,25 +113,12 @@ class Soak {
   uint32_t kill_cursor_ = 0;
 };
 
-void Soak::Boot(bool format) {
-  if (format) {
-    kernfs::FormatOptions f;
-    f.root_mode = 0777;  // tenants create their own /tN under the shared root
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-  } else {
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-  }
-  kfs_->set_kernel_crossing_ns(0);
-  janitor_ = std::make_unique<fslib::FsLib>(kfs_.get(), root_cred_);
-  mpk::BindThreadToProcess(nullptr);
-}
-
 void Soak::MakeTenant(Tenant* t, uint32_t id) {
   t->uid = 100 + id;
   t->vtid = 1000 + id;
   t->dir = "/t" + std::to_string(id);
   t->cred = vfs::Cred{t->uid, t->uid};
-  t->fs = std::make_unique<fslib::FsLib>(kfs_.get(), t->cred);
+  t->fs = std::make_unique<fslib::FsLib>(kfs(), t->cred);
   // Everything from here on may hit an armed kill point (the
   // holding-leased-list kill targets a fresh tenant's first allocations).
   zofs::ScopedTidOverride tid(t->vtid);
@@ -184,7 +155,7 @@ void Soak::RecycleGracefully(Tenant* t) {
   zofs::ScopedTidOverride tid(t->vtid);
   t->fs->BindThread();
   t->fs.reset();
-  t->fs = std::make_unique<fslib::FsLib>(kfs_.get(), t->cred);
+  t->fs = std::make_unique<fslib::FsLib>(kfs(), t->cred);
   t->fs->BindThread();
   ReopenFds(t);
   mpk::BindThreadToProcess(nullptr);
@@ -226,15 +197,9 @@ void Soak::TenantOps(Tenant* t) {
       if (!t->durable.empty()) {
         auto it = t->durable.begin();
         std::advance(it, rng_.Below(t->durable.size()));
-        auto fd = t->fs->Open(t->cred, it->first, vfs::kRead, 0);
-        bool ok = false;
-        if (fd.ok()) {
-          std::string got(it->second.size(), 0);
-          auto n = t->fs->Pread(*fd, got.data(), got.size(), 0);
-          ok = n.ok() && *n == got.size() && got == it->second;
-          t->fs->Close(*fd);
-        }
-        if (!ok && !t->tainted) {
+        const oracle::ReadBack rb =
+            oracle::Read(t->fs.get(), t->cred, it->first, it->second.size());
+        if ((!rb.present() || rb.data != it->second) && !t->tainted) {
           rep_.durability_violations++;
         }
       }
@@ -325,25 +290,14 @@ void Soak::TargetedOp(Tenant* t, const char* point, uint32_t seq) {
   // holding-leased-list is handled by killing a fresh tenant in KillOne.
 }
 
-std::unordered_set<uint64_t> Soak::PagesOwnedBy(uint32_t uid) {
-  std::unordered_set<uint64_t> pages;
-  std::vector<uint32_t> cids = kfs_->AllCofferIds();
-  std::sort(cids.begin(), cids.end());
-  for (uint32_t cid : cids) {
-    if (kfs_->RootPageOf(cid)->uid != uid) {
-      continue;
-    }
-    auto runs = kfs_->PagesOf(cid);
-    if (!runs.ok()) {
-      continue;
-    }
-    for (const kernfs::PageRun& r : *runs) {
-      for (uint64_t p = r.start_page; p < r.start_page + r.len; p++) {
-        pages.insert(p);
-      }
+std::set<uint32_t> Soak::CoffersOf(uint32_t uid) {
+  std::set<uint32_t> out;
+  for (uint32_t cid : kfs()->AllCofferIds()) {
+    if (kfs()->RootPageOf(cid)->uid == uid) {
+      out.insert(cid);
     }
   }
-  return pages;
+  return out;
 }
 
 void Soak::ProcessCorpse(Tenant* victim) {
@@ -357,10 +311,10 @@ void Soak::ProcessCorpse(Tenant* victim) {
   kernfs::KillOptions ko;
   ko.stray_writes = (rep_.kills % 2 == 1) ? opts_.stray_writes : 0;
   ko.seed = rng_.Next();
-  ko.spare_coffers = {kfs_->root_coffer_id()};
+  ko.spare_coffers = {kfs()->root_coffer_id()};
   std::vector<uint8_t> before, after;
   dev_->SnapshotTo(&before);
-  kernfs::KillStats ks = kfs_->KillProcess(victim->fs->proc(), ko);
+  kernfs::KillStats ks = kfs()->KillProcess(victim->fs->proc(), ko);
   dev_->SnapshotTo(&after);
   rep_.stray_attempted += ks.stray_attempted;
   rep_.stray_landed += ks.stray_landed;
@@ -368,14 +322,7 @@ void Soak::ProcessCorpse(Tenant* victim) {
   if (ks.stray_landed > 0) {
     victim->tainted = true;
   }
-  const std::unordered_set<uint64_t> allowed = PagesOwnedBy(victim->uid);
-  for (uint64_t p = 0; p * nvm::kPageSize < before.size(); p++) {
-    if (std::memcmp(&before[p * nvm::kPageSize], &after[p * nvm::kPageSize],
-                    nvm::kPageSize) != 0 &&
-        allowed.count(p) == 0) {
-      rep_.mpk_escapes++;
-    }
-  }
+  rep_.mpk_escapes += oracle::ContainmentDiff(before, after, CoffersOf(victim->uid)).size();
 
   // The corpse's FsLib must outlive the reap: the kernel reclaims the
   // unharvested grants through the still-live Channel objects.
@@ -383,13 +330,13 @@ void Soak::ProcessCorpse(Tenant* victim) {
   morgue_.push_back(std::move(victim->fs));
 
   common::AdvanceNowNsForTest(kLeaseJumpNs);  // leases lapse; reaper backoff passes
-  rep_.reaped_processes += kfs_->ReapDeadProcesses();
+  rep_.reaped_processes += kfs()->ReapDeadProcesses();
   morgue_.clear();
 }
 
 void Soak::JanitorRepairAndVerify(const Tenant& victim) {
   zofs::ScopedTidOverride tid(janitor_vtid_);
-  janitor_->BindThread();
+  janitor()->BindThread();
 
   // Each probe takes the InodeLock the corpse may have died holding; the
   // steal triggers online intent repair for the whole coffer. Bounded
@@ -418,68 +365,60 @@ void Soak::JanitorRepairAndVerify(const Tenant& victim) {
     }
   };
   probe([&]() -> common::Status {
-    auto fd = janitor_->Open(root_cred_, victim.dir + "/scratch", vfs::kWrite, 0);
+    auto fd = janitor()->Open(root_cred_, victim.dir + "/scratch", vfs::kWrite, 0);
     if (!fd.ok()) {
       return fd.error();
     }
     char b = 'j';
-    auto w = janitor_->Pwrite(*fd, &b, 1, 0);
-    janitor_->Close(*fd);
+    auto w = janitor()->Pwrite(*fd, &b, 1, 0);
+    janitor()->Close(*fd);
     return w.ok() ? common::OkStatus() : common::Status(w.error());
   });
   probe([&]() -> common::Status {
-    const std::string dir = janitor_->Stat(root_cred_, victim.dir).ok() ? victim.dir : "/";
-    auto fd = janitor_->Open(root_cred_, dir + "/probe", vfs::kCreate | vfs::kWrite, 0644);
+    const std::string dir = janitor()->Stat(root_cred_, victim.dir).ok() ? victim.dir : "/";
+    auto fd = janitor()->Open(root_cred_, dir + "/probe", vfs::kCreate | vfs::kWrite, 0644);
     if (!fd.ok()) {
       return fd.error();
     }
-    janitor_->Close(*fd);
-    return janitor_->Unlink(root_cred_, dir + "/probe");
+    janitor()->Close(*fd);
+    return janitor()->Unlink(root_cred_, dir + "/probe");
   });
   probe([&]() -> common::Status {
-    auto fd = janitor_->Open(root_cred_, victim.dir + "/klog", vfs::kWrite | vfs::kAppend, 0);
+    auto fd = janitor()->Open(root_cred_, victim.dir + "/klog", vfs::kWrite | vfs::kAppend, 0);
     if (!fd.ok()) {
       return fd.error();
     }
-    auto w = janitor_->Write(*fd, "j", 1);
-    common::Status s = w.ok() ? janitor_->Fsync(*fd) : common::Status(w.error());
-    janitor_->Close(*fd);
+    auto w = janitor()->Write(*fd, "j", 1);
+    common::Status s = w.ok() ? janitor()->Fsync(*fd) : common::Status(w.error());
+    janitor()->Close(*fd);
     return s;
   });
 
   // The dead tenant's completed+synced data must have survived its death
   // (unless its own stray writes legally damaged it).
   if (!victim.tainted) {
-    VerifyDurable(janitor_.get(), root_cred_, victim);
+    VerifyDurable(janitor(), root_cred_, victim);
   }
   mpk::BindThreadToProcess(nullptr);
 }
 
 void Soak::JanitorSweepLists() {
   zofs::ScopedTidOverride tid(janitor_vtid_);
-  janitor_->BindThread();
-  std::vector<uint32_t> cids = kfs_->AllCofferIds();
+  janitor()->BindThread();
+  std::vector<uint32_t> cids = kfs()->AllCofferIds();
   std::sort(cids.begin(), cids.end());
   for (uint32_t cid : cids) {
-    (void)janitor_->zofs().ReclaimExpiredLists(cid);
+    (void)janitor()->zofs().ReclaimExpiredLists(cid);
   }
   mpk::BindThreadToProcess(nullptr);
 }
 
+// Durable content must read back as an exact prefix: a repaired staged
+// intent may legally replay an untracked tail past it.
 void Soak::VerifyDurable(fslib::FsLib* fs, const vfs::Cred& cred, const Tenant& t) {
   for (const auto& [path, content] : t.durable) {
-    bool ok = false;
-    auto fd = fs->Open(cred, path, vfs::kRead, 0);
-    if (fd.ok()) {
-      auto st = fs->Fstat(*fd);
-      if (st.ok() && st->size >= content.size()) {
-        std::string got(content.size(), 0);
-        auto n = fs->Pread(*fd, got.data(), got.size(), 0);
-        ok = n.ok() && *n == got.size() && got == content;
-      }
-      fs->Close(*fd);
-    }
-    if (!ok) {
+    const oracle::ReadBack rb = oracle::Read(fs, cred, path, content.size());
+    if (!rb.present() || rb.data != content) {
       rep_.durability_violations++;
     }
   }
@@ -490,8 +429,7 @@ void Soak::KillOne(uint32_t round) {
   const char* point = kKillPointNames[pidx];
   Tenant scratch_tenant;
   Tenant* victim = nullptr;
-  arm_.point = point;
-  arm_.fired = false;
+  arm_.Arm(point);
   try {
     if (pidx == 4) {
       // holding-leased-list: a fresh tenant's first allocation CAS-claims a
@@ -506,8 +444,8 @@ void Soak::KillOne(uint32_t round) {
     }
   } catch (const common::ProcessKilledError&) {
   }
-  arm_.point = nullptr;
-  const bool fired = arm_.fired;
+  arm_.Disarm();
+  const bool fired = arm_.fired();
   if (!fired) {
     // The op completed without crossing the armed site; retry next round.
     common::SetCurrentThreadKilled(false);
@@ -553,39 +491,39 @@ void Soak::CrashRemount() {
   uint64_t corrupt_off = 0;
   if (opts_.corrupt_in_loop && !retired_uids_.empty()) {
     const uint32_t uid = retired_uids_[rng_.Below(retired_uids_.size())];
-    std::unordered_set<uint64_t> owned = PagesOwnedBy(uid);
-    std::vector<uint64_t> pages(owned.begin(), owned.end());
+    std::vector<uint64_t> pages;
+    for (uint32_t cid : CoffersOf(uid)) {
+      auto runs = kfs()->PagesOf(cid);
+      if (!runs.ok()) {
+        continue;
+      }
+      for (const kernfs::PageRun& r : *runs) {
+        for (uint64_t p = r.start_page; p < r.start_page + r.len; p++) {
+          pages.push_back(p);
+        }
+      }
+    }
     std::sort(pages.begin(), pages.end());
     if (!pages.empty()) {
       corrupt_off = pages[rng_.Below(pages.size())] * nvm::kPageSize + rng_.Below(nvm::kPageSize);
     }
   }
 
-  // Crash semantics: nobody gets to run cleanup, so every FsLib is abandoned
-  // before destruction and the kernel is simply dropped.
+  std::vector<std::unique_ptr<fslib::FsLib>*> procs;
   for (Tenant& t : tenants_) {
-    t.fs->Abandon();
-    t.fs.reset();
+    procs.push_back(&t.fs);
   }
-  janitor_->Abandon();
-  janitor_.reset();
-  kfs_.reset();
-  dev_->SimulateCrash();
+  stack_.Crash(procs);
   if (corrupt_off != 0) {
     const uint8_t old = *dev_->As<uint8_t>(corrupt_off);
     dev_->Store8(corrupt_off, old ^ (1u << rng_.Below(8)));
     rep_.corruptions_injected++;
   }
 
-  Boot(/*format=*/false);
+  stack_.Mount(root_cred_);
   {
     zofs::ScopedTidOverride tid(janitor_vtid_);
-    janitor_->BindThread();
-    auto stats = janitor_->zofs().RecoverAll();
-    if (!stats.ok()) {
-      rep_.fsck_violations++;
-    }
-    if (!kfs_->CheckAllocTableForTest().empty()) {
+    if (!oracle::Fsck(stack_).ok()) {
       rep_.fsck_violations++;
     }
     mpk::BindThreadToProcess(nullptr);
@@ -595,30 +533,22 @@ void Soak::CrashRemount() {
   // Tenants remount and re-verify: everything they completed and synced
   // before the crash must still be there, byte for byte.
   for (Tenant& t : tenants_) {
-    t.fs = std::make_unique<fslib::FsLib>(kfs_.get(), t.cred);
+    t.fs = std::make_unique<fslib::FsLib>(kfs(), t.cred);
     zofs::ScopedTidOverride tid(t.vtid);
     t.fs->BindThread();
     ReopenFds(&t);
     if (!t.tainted) {
       VerifyDurable(t.fs.get(), t.cred, t);
     }
-    // The untracked append log may hold a replayed tail from a repaired
-    // staged intent; truncate the durable model's view is unnecessary — the
-    // oracle only requires durable content to be a prefix-intact exact read.
     mpk::BindThreadToProcess(nullptr);
   }
 }
 
 SoakReport Soak::Run() {
   common::ScopedClockPin pin(kBaseNs);
-  common::InstallKillPoint(&KillHandler, &arm_);
-
-  nvm::Options no;
-  no.size_bytes = opts_.device_mb << 20;
-  no.crash_tracking = true;
-  dev_ = std::make_unique<nvm::NvmDevice>(no);
-  mpk::InstallDeviceHook(dev_.get());
-  Boot(/*format=*/true);
+  kernfs::FormatOptions f;
+  f.root_mode = 0777;  // tenants create their own /tN under the shared root
+  stack_.Format(f, root_cred_);
   dev_->MarkAllPersistent();
 
   tenants_.resize(opts_.tenants);
@@ -648,10 +578,7 @@ SoakReport Soak::Run() {
     t.fs->BindThread();
     t.fs.reset();
   }
-  mpk::BindThreadToProcess(nullptr);
-  janitor_.reset();
-  kfs_.reset();
-  common::InstallKillPoint(nullptr, nullptr);
+  stack_.Unmount();
 
   rep_.lock_steals = zofs::LockStealCount() - base_steals_;
   rep_.online_repairs = zofs::OnlineRepairCount() - base_repairs_;

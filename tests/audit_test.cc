@@ -14,6 +14,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -292,19 +293,16 @@ TEST(AuditTest, ReportJsonIsDeterministic) {
 // unlink across the inline and block paths) must audit with zero errors and
 // zero warnings — the annotations in src/zofs describe what the code does.
 TEST(AuditTest, ZofsStackAuditsClean) {
-  nvm::Options o;
-  o.size_bytes = 128ull << 20;
-  auto dev = std::make_unique<nvm::NvmDevice>(o);
+  auto dev = oracle::NewDevice(128ull << 20);
   Auditor a;
   a.Attach(dev.get());
-  mpk::InstallDeviceHook(dev.get());
   kernfs::FormatOptions f;
   f.root_mode = 0755;
-  auto kfs = std::make_unique<kernfs::KernFs>(dev.get(), f);
-  kfs->set_kernel_crossing_ns(0);
-  vfs::Cred cred{0, 0};
+  oracle::Stack st(dev.get());
+  st.Format(f);
+  const vfs::Cred cred = oracle::kRoot;
   {
-    fslib::FsLib fs(kfs.get(), cred);
+    fslib::FsLib& fs = *st.fs();
     ASSERT_TRUE(fs.Mkdir(cred, "/dir", 0755).ok());
     auto fd = fs.Open(cred, "/dir/file", vfs::kCreate | vfs::kRdWr, 0644);
     ASSERT_TRUE(fd.ok());
@@ -320,10 +318,9 @@ TEST(AuditTest, ZofsStackAuditsClean) {
     ASSERT_TRUE(fs.Unlink(cred, "/dir/file2").ok());
     ASSERT_TRUE(fs.Rmdir(cred, "/dir").ok());
   }
+  st.Unmount();  // the unmount drain is part of the audited run
   Report r = a.Snapshot();
   a.Detach();
-  kfs.reset();
-  mpk::BindThreadToProcess(nullptr);
   if (r.errors != 0 || r.warnings != 0) {
     fprintf(stderr, "%s", r.ToText().c_str());
   }

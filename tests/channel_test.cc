@@ -22,6 +22,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 #include "src/zofs/zofs.h"
 
 namespace {
@@ -314,22 +315,19 @@ TEST_F(ChannelTest, DestroyProcessReclaimsUnharvestedGrants) {
 // through the Options::sync_crossings fallback must produce identical trees.
 
 struct Stack {
-  std::unique_ptr<nvm::NvmDevice> dev;
-  std::unique_ptr<kernfs::KernFs> kfs;
-  std::unique_ptr<fslib::FsLib> fs;
+  std::unique_ptr<nvm::NvmDevice> dev = oracle::NewDevice(128ull << 20);
+  oracle::Stack st{dev.get()};
+  fslib::FsLib* fs = nullptr;
+  kernfs::KernFs* kfs = nullptr;
 
   explicit Stack(bool sync_crossings) {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    dev = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev.get());
     kernfs::FormatOptions f;
     f.root_mode = 0755;
-    kfs = std::make_unique<kernfs::KernFs>(dev.get(), f);
-    kfs->set_kernel_crossing_ns(0);
     zofs::Options zo;
     zo.sync_crossings = sync_crossings;
-    fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
+    st.Format(f, kCred, zo);
+    fs = st.fs();
+    kfs = st.kfs();
     // Unbind so building another Stack (KernFs format on a second device)
     // is not checked against THIS stack's page-key table; every FsLib op
     // re-binds its own process on entry.
@@ -388,13 +386,13 @@ TEST(ChannelDifferentialTest, ChurnEquivalentToSyncCrossings) {
   EXPECT_FALSE(sync.fs->zofs().channels().enabled());
 
   const uint64_t bg0 = kernfs::BackgroundCrossingCount();
-  ChurnWorkload(sync.fs.get());
+  ChurnWorkload(sync.fs);
   // The sync fallback never runs async housekeeping: every crossing it
   // charged was foreground (the baseline the benchmarks compare against).
   EXPECT_EQ(kernfs::BackgroundCrossingCount(), bg0);
 
-  ChurnWorkload(channel.fs.get());
-  ExpectSameTree(channel.fs.get(), sync.fs.get());
+  ChurnWorkload(channel.fs);
+  ExpectSameTree(channel.fs, sync.fs);
 
   EXPECT_TRUE(channel.kfs->CheckAllocTableForTest().empty());
   EXPECT_TRUE(sync.kfs->CheckAllocTableForTest().empty());
@@ -411,55 +409,28 @@ TEST(ChannelDifferentialTest, ChurnEquivalentToSyncCrossings) {
 class ChannelCrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    o.crash_tracking = true;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    Boot(/*format=*/true);
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
-  void Boot(bool format) {
-    fs_.reset();
-    kfs_.reset();
-    if (format) {
-      kernfs::FormatOptions f;
-      f.root_mode = 0755;
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    } else {
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-    }
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), kCred);
+    kernfs::FormatOptions f;
+    f.root_mode = 0755;
+    st_.Format(f, kCred);
     dev_->MarkAllPersistent();
   }
 
-  // Strict crash: snapshot the rolled-back image BEFORE tearing down the old
-  // stack, then restore it. The ZoFs destructor drains the channels
-  // (CofferShrink of unharvested grants) — post-crash writes that must not
-  // leak into the image the reboot recovers, or the test would never see the
-  // stranded-pages state it exists to cover.
+  // The crash abandons the process: a graceful ZoFs teardown would drain the
+  // channels (CofferShrink of unharvested grants) and the test would never
+  // see the stranded-pages state it exists to cover.
   void CrashAndReboot() {
-    dev_->SimulateCrash();
-    std::vector<uint8_t> img;
-    dev_->SnapshotTo(&img);
-    fs_.reset();
-    kfs_.reset();
-    dev_->RestoreFrom(img.data(), img.size());
-    Boot(/*format=*/false);
-    auto stats = fs_->zofs().RecoverAll();
-    ASSERT_TRUE(stats.ok()) << common::ErrName(stats.error());
-    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+    st_.Crash();
+    st_.Mount(kCred);
+    dev_->MarkAllPersistent();
+    const oracle::FsckResult r = oracle::Fsck(st_);
+    ASSERT_TRUE(r.ok()) << r.kind << ": " << r.detail;
   }
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  fslib::FsLib* fs() { return st_.fs(); }
+  kernfs::KernFs* kfs() { return st_.kfs(); }
+
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(128ull << 20, /*crash_tracking=*/true);
+  oracle::Stack st_{dev_.get()};
 };
 
 TEST_F(ChannelCrashTest, PartiallyDrainedRingSweep) {
@@ -470,21 +441,21 @@ TEST_F(ChannelCrashTest, PartiallyDrainedRingSweep) {
     SCOPED_TRACE("stage " + std::to_string(stage));
     for (int i = 0; i < 8; i++) {
       const std::string f = "/s" + std::to_string(stage) + "_" + std::to_string(i);
-      auto fd = fs_->Open(kCred, f, vfs::kCreate | vfs::kWrite, 0644);
+      auto fd = fs()->Open(kCred, f, vfs::kCreate | vfs::kWrite, 0644);
       ASSERT_TRUE(fd.ok());
-      ASSERT_TRUE(fs_->Write(*fd, "data", 4).ok());
-      ASSERT_TRUE(fs_->Close(*fd).ok());
+      ASSERT_TRUE(fs()->Write(*fd, "data", 4).ok());
+      ASSERT_TRUE(fs()->Close(*fd).ok());
     }
 
-    kernfs::Channel* ch = fs_->zofs().channels().Current();
+    kernfs::Channel* ch = fs()->zofs().channels().Current();
     ASSERT_NE(ch, nullptr);
-    ASSERT_NE(ch->SubmitEnlarge(kfs_->root_coffer_id(), 8), 0u);
+    ASSERT_NE(ch->SubmitEnlarge(kfs()->root_coffer_id(), 8), 0u);
     if (stage >= 1) {
       ch->Flush();
     }
     if (stage == 2) {
       kernfs::ChanCompletion grant;
-      ASSERT_TRUE(ch->TakeEnlarge(kfs_->root_coffer_id(), &grant));
+      ASSERT_TRUE(ch->TakeEnlarge(kfs()->root_coffer_id(), &grant));
       ASSERT_TRUE(grant.status.ok());  // runs dropped: stranded on purpose
     }
 
@@ -494,7 +465,7 @@ TEST_F(ChannelCrashTest, PartiallyDrainedRingSweep) {
     for (int s = 0; s <= stage; s++) {
       for (int i = 0; i < 8; i++) {
         EXPECT_TRUE(
-            fs_->Stat(kCred, "/s" + std::to_string(s) + "_" + std::to_string(i)).ok())
+            fs()->Stat(kCred, "/s" + std::to_string(s) + "_" + std::to_string(i)).ok())
             << "s" << s << "_" << i;
       }
     }

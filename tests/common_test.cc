@@ -1,11 +1,13 @@
 // Unit tests for the common utilities: deterministic PRNG, Zipf sampling,
-// error codes, formatting and the Result plumbing.
+// error codes, formatting, the Result plumbing and the tools' flag parser.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "src/common/clock.h"
+#include "src/common/flags.h"
 #include "src/common/hash.h"
 #include "src/common/rand.h"
 #include "src/common/result.h"
@@ -147,6 +149,35 @@ TEST(Clock, SpinZeroReturnsImmediately) {
   common::Stopwatch sw;
   common::SpinNs(0);
   EXPECT_LT(sw.ElapsedNs(), 100'000u);
+}
+
+TEST(Flags, ParseUintTakesWholeDecimalsInRangeOnly) {
+  uint64_t v = 0;
+  EXPECT_TRUE(common::ParseUint("0", UINT64_MAX, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(common::ParseUint("18446744073709551615", UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(common::ParseUint("255", 255, &v));
+  EXPECT_EQ(v, 255u);
+  for (const char* bad : {"", "4x2", "abc", "-1", "+1", " 1", "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(common::ParseUint(bad, UINT64_MAX, &v)) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(common::ParseUint("256", 255, &v));
+  EXPECT_FALSE(common::ParseUint("5", 3, &v));
+  EXPECT_EQ(v, 255u);  // untouched on rejection
+}
+
+TEST(Flags, UintFlagMatchesNameAndExitsTwoOnMalformedValue) {
+  uint32_t n = 0;
+  EXPECT_TRUE(common::UintFlag("--rounds=12", "--rounds", &n));
+  EXPECT_EQ(n, 12u);
+  EXPECT_FALSE(common::UintFlag("--roundsx=1", "--rounds", &n));
+  EXPECT_FALSE(common::UintFlag("--rounds", "--rounds", &n));
+  int threads = 0;
+  EXPECT_EXIT(common::UintFlag("--threads=abc", "--threads", &threads),
+              ::testing::ExitedWithCode(2), "--threads");
+  EXPECT_EXIT(common::UintFlag("--rounds=4294967296", "--rounds", &n),
+              ::testing::ExitedWithCode(2), "--rounds");
 }
 
 }  // namespace

@@ -15,32 +15,25 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
 class ConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 512ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
     kernfs::FormatOptions f;
     f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+    st_.Format(f, cred);
+    kfs_ = st_.kfs();
+    fs_ = st_.fs();
   }
 
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(512ull << 20);
+  oracle::Stack st_{dev_.get()};
+  kernfs::KernFs* kfs_ = nullptr;  // st_'s, for the whole test
+  fslib::FsLib* fs_ = nullptr;
 };
 
 TEST_F(ConcurrencyTest, ParallelAppendersToPrivateFiles) {
@@ -76,13 +69,8 @@ TEST_F(ConcurrencyTest, ParallelAppendersToPrivateFiles) {
     ASSERT_TRUE(st.ok());
     EXPECT_EQ(st->size, 512u * kAppends);
     // Every byte carries the writer's tag (no cross-thread bleed).
-    auto fd = fs_->Open(cred, "/app" + std::to_string(t), vfs::kRead, 0);
-    std::vector<uint8_t> buf(512 * kAppends);
-    auto r = fs_->Pread(*fd, buf.data(), buf.size(), 0);
-    ASSERT_TRUE(r.ok());
-    for (uint8_t b : buf) {
-      ASSERT_EQ(b, t + 1);
-    }
+    EXPECT_EQ(oracle::Read(fs_, cred, "/app" + std::to_string(t)).data,
+              std::string(512 * kAppends, static_cast<char>(t + 1)));
   }
   EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
 }
@@ -170,7 +158,7 @@ TEST_F(ConcurrencyTest, ExclusiveCreateRaceHasOneWinner) {
 }
 
 TEST_F(ConcurrencyTest, TwoProcessesInterleaveOnSharedTree) {
-  fslib::FsLib p2(kfs_.get(), vfs::Cred{0, 0});
+  fslib::FsLib p2(kfs_, vfs::Cred{0, 0});
   ASSERT_TRUE(fs_->Mkdir(cred, "/both", 0755).ok());
   std::atomic<int> errors{0};
   std::thread t1([&]() {

@@ -16,6 +16,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 #include "src/zofs/zofs.h"
 
 namespace {
@@ -79,40 +80,40 @@ TEST(FaultInjCampaign, ReportIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(a.ToText(), b.ToText());
 }
 
+TEST(FaultInjCampaign, RestoresTheCallersClockPin) {
+  // The campaign pins its own logical time; a pin the caller set must be in
+  // force again once it returns.
+  constexpr uint64_t kCallerNs = 777'000'000'000ull;
+  common::ScopedClockPin pin(kCallerNs);
+  faultinj::CampaignOptions opts;
+  opts.max_trials = 2;
+  faultinj::CampaignReport rep = faultinj::RunCampaign(opts);
+  ASSERT_TRUE(rep.setup_error.empty()) << rep.setup_error;
+  EXPECT_EQ(common::NowNs(), kCallerNs);
+}
+
 // ---------------------------------------------------------------------------
 // Sick-coffer lifecycle: quarantine, bounded backoff, sibling isolation,
 // KernFS-mediated repair.
 
 class SickCofferTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Pin logical time so the quarantine backoff plays out deterministically.
-    common::SetNowNsForTest(1'000'000'000'000ull);
-    nvm::Options o;
-    o.size_bytes = 64ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-  }
-  void TearDown() override {
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-    common::SetNowNsForTest(0);
-  }
-
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
+  // Pin logical time so the quarantine backoff plays out deterministically.
+  common::ScopedClockPin pin_{1'000'000'000'000ull};
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(64ull << 20);
+  oracle::Stack st_{dev_.get()};
 };
 
 TEST_F(SickCofferTest, QuarantineBacksOffIsolatesSiblingsAndRecovers) {
   constexpr uint64_t kBackoffNs = 10'000'000;
   zofs::Options zo;
   zo.sick_backoff_ns = kBackoffNs;
-  fslib::FsLib p(kfs_.get(), vfs::Cred{0, 0}, zo);
-  vfs::Cred c{0, 0};
+  kernfs::FormatOptions f;
+  f.root_mode = 0755;
+  const vfs::Cred c = oracle::kRoot;
+  st_.Format(f, c, zo);
+  fslib::FsLib& p = *st_.fs();
+  kernfs::KernFs* kfs = st_.kfs();
 
   // A private (0600) file gets its own coffer; a root-coffer sibling rides
   // along to prove isolation.
@@ -127,7 +128,7 @@ TEST_F(SickCofferTest, QuarantineBacksOffIsolatesSiblingsAndRecovers) {
   auto node = p.zofs().Lookup("/secret", true);
   ASSERT_TRUE(node.ok());
   const uint32_t cid = node->coffer_id;
-  ASSERT_NE(cid, kfs_->root_coffer_id());
+  ASSERT_NE(cid, kfs->root_coffer_id());
 
   // Structural damage: a block pointer that cannot be a page. Unlike a
   // smashed inode magic (object-local), this distrusts the coffer's whole
@@ -152,7 +153,7 @@ TEST_F(SickCofferTest, QuarantineBacksOffIsolatesSiblingsAndRecovers) {
   EXPECT_EQ(r.error(), Err::kIo);
 
   // Sibling coffers stay fully live.
-  EXPECT_EQ(p.zofs().Health(kfs_->root_coffer_id()), zofs::CofferHealth::kHealthy);
+  EXPECT_EQ(p.zofs().Health(kfs->root_coffer_id()), zofs::CofferHealth::kHealthy);
   EXPECT_TRUE(p.Stat(c, "/other").ok());
   auto tfd = p.Open(c, "/third", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(tfd.ok());

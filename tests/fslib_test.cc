@@ -12,6 +12,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -20,26 +21,18 @@ using common::Err;
 class FsLibTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
     kernfs::FormatOptions f;
     f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+    st_.Format(f, cred);
+    kfs_ = st_.kfs();
+    fs_ = st_.fs();
   }
 
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(128ull << 20);
+  oracle::Stack st_{dev_.get()};
+  kernfs::KernFs* kfs_ = nullptr;  // st_'s, for the whole test
+  fslib::FsLib* fs_ = nullptr;
 };
 
 TEST_F(FsLibTest, FdsAreAssignedLowestFirst) {
@@ -112,7 +105,7 @@ TEST_F(FsLibTest, WriteOnDirectoryFdPathRejected) {
 }
 
 TEST_F(FsLibTest, PerProcessFdTablesAreIndependent) {
-  fslib::FsLib other(kfs_.get(), vfs::Cred{0, 0});
+  fslib::FsLib other(kfs_, vfs::Cred{0, 0});
   auto a = fs_->Open(cred, "/a", vfs::kCreate | vfs::kWrite, 0644);
   auto b = other.Open(cred, "/b", vfs::kCreate | vfs::kWrite, 0644);
   EXPECT_EQ(*a, 0);

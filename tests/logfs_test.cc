@@ -12,6 +12,7 @@
 #include "src/logfs/logfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -20,103 +21,79 @@ using common::Err;
 class LogFsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 256ull << 20;
-    o.crash_tracking = true;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    Boot(/*format=*/true);
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
-  void Boot(bool format) {
-    fs_.reset();
-    kfs_.reset();
-    if (format) {
-      kernfs::FormatOptions f;
-      f.root_mode = 0755;
-      f.root_type = kernfs::kCofferTypeLogFs;
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    } else {
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-    }
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
+    kernfs::FormatOptions f;
+    f.root_mode = 0755;
+    f.root_type = kernfs::kCofferTypeLogFs;
+    st_.Format(f, cred);
     dev_->MarkAllPersistent();
   }
 
-  logfs::LogFs& logfs() { return static_cast<logfs::LogFs&>(fs_->ufs()); }
+  // Unmounts and mounts again: LogFS rebuilds its index by log replay.
+  void Remount() {
+    st_.Mount(cred);
+    dev_->MarkAllPersistent();
+  }
+
+  logfs::LogFs& logfs() { return static_cast<logfs::LogFs&>(fs()->ufs()); }
+  fslib::FsLib* fs() { return st_.fs(); }
+  kernfs::KernFs* kfs() { return st_.kfs(); }
 
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(256ull << 20, /*crash_tracking=*/true);
+  oracle::Stack st_{dev_.get()};
 };
 
 TEST_F(LogFsTest, DispatcherSelectsLogFs) {
-  EXPECT_STREQ(fs_->ufs().Name(), "LogFS");
+  EXPECT_STREQ(fs()->ufs().Name(), "LogFS");
 }
 
 TEST_F(LogFsTest, ReplayRebuildsNamespace) {
-  ASSERT_TRUE(fs_->Mkdir(cred, "/dir", 0755).ok());
-  auto fd = fs_->Open(cred, "/dir/f", vfs::kCreate | vfs::kWrite, 0644);
+  ASSERT_TRUE(fs()->Mkdir(cred, "/dir", 0755).ok());
+  auto fd = fs()->Open(cred, "/dir/f", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
   std::string data(10000, 'L');
-  ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), 0).ok());
-  ASSERT_TRUE(fs_->Symlink(cred, "/dir/f", "/link").ok());
-  ASSERT_TRUE(fs_->Rename(cred, "/dir/f", "/dir/g").ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, data.data(), data.size(), 0).ok());
+  ASSERT_TRUE(fs()->Symlink(cred, "/dir/f", "/link").ok());
+  ASSERT_TRUE(fs()->Rename(cred, "/dir/f", "/dir/g").ok());
 
-  Boot(/*format=*/false);  // remount: replay only, no crash
+  Remount();  // replay only, no crash
 
-  auto st = fs_->Stat(cred, "/dir/g");
+  auto st = fs()->Stat(cred, "/dir/g");
   ASSERT_TRUE(st.ok()) << common::ErrName(st.error());
   EXPECT_EQ(st->size, data.size());
-  EXPECT_EQ(fs_->Stat(cred, "/dir/f").error(), Err::kNoEnt);
-  auto rl = fs_->ReadLink(cred, "/link");
+  EXPECT_EQ(fs()->Stat(cred, "/dir/f").error(), Err::kNoEnt);
+  auto rl = fs()->ReadLink(cred, "/link");
   ASSERT_TRUE(rl.ok());
   EXPECT_EQ(*rl, "/dir/f");  // symlinks store paths, not nodes
 
-  auto fd2 = fs_->Open(cred, "/dir/g", vfs::kRead, 0);
-  ASSERT_TRUE(fd2.ok());
-  std::string back(data.size(), 0);
-  auto r = fs_->Read(*fd2, back.data(), back.size());
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(back, data);
+  EXPECT_EQ(oracle::Read(fs(), cred, "/dir/g").data, data);
   EXPECT_GT(logfs().replayed_records(), 0u);
 }
 
 TEST_F(LogFsTest, CompletedOpsSurviveCrash) {
   for (int i = 0; i < 40; i++) {
-    auto fd = fs_->Open(cred, "/f" + std::to_string(i), vfs::kCreate | vfs::kWrite, 0644);
+    auto fd = fs()->Open(cred, "/f" + std::to_string(i), vfs::kCreate | vfs::kWrite, 0644);
     ASSERT_TRUE(fd.ok());
     std::string payload = "payload-" + std::to_string(i);
-    ASSERT_TRUE(fs_->Write(*fd, payload.data(), payload.size()).ok());
+    ASSERT_TRUE(fs()->Write(*fd, payload.data(), payload.size()).ok());
   }
-  ASSERT_TRUE(fs_->Unlink(cred, "/f7").ok());
+  ASSERT_TRUE(fs()->Unlink(cred, "/f7").ok());
 
-  dev_->SimulateCrash();
-  Boot(/*format=*/false);
+  st_.Crash();
+  Remount();
 
   for (int i = 0; i < 40; i++) {
     if (i == 7) {
-      EXPECT_EQ(fs_->Stat(cred, "/f7").error(), Err::kNoEnt);
+      EXPECT_EQ(fs()->Stat(cred, "/f7").error(), Err::kNoEnt);
       continue;
     }
-    auto fd = fs_->Open(cred, "/f" + std::to_string(i), vfs::kRead, 0);
-    ASSERT_TRUE(fd.ok()) << i;
-    char buf[64] = {};
-    auto r = fs_->Read(*fd, buf, sizeof(buf));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(std::string(buf, *r), "payload-" + std::to_string(i));
+    EXPECT_EQ(oracle::Read(fs(), cred, "/f" + std::to_string(i)).data,
+              "payload-" + std::to_string(i));
   }
 }
 
 TEST_F(LogFsTest, TornTailRecordIsIgnored) {
-  auto fd = fs_->Open(cred, "/good", vfs::kCreate | vfs::kWrite, 0644);
+  auto fd = fs()->Open(cred, "/good", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
 
   // Forge a torn append: record bytes land after the commit point (`used`)
@@ -129,7 +106,7 @@ TEST_F(LogFsTest, TornTailRecordIsIgnored) {
   struct LogPageHeaderView {
     uint64_t next, used;
   };
-  const auto* root = kfs_->RootPageOf(kfs_->root_coffer_id());
+  const auto* root = kfs()->RootPageOf(kfs()->root_coffer_id());
   const auto* super = reinterpret_cast<const LogSuperView*>(dev_->At(root->root_inode_off));
   uint64_t page = super->head_page;
   ASSERT_NE(page, 0u);
@@ -147,76 +124,71 @@ TEST_F(LogFsTest, TornTailRecordIsIgnored) {
          sizeof(garbage));
   dev_->MarkAllPersistent();
 
-  Boot(/*format=*/false);
-  EXPECT_TRUE(fs_->Stat(cred, "/good").ok());
+  Remount();
+  EXPECT_TRUE(fs()->Stat(cred, "/good").ok());
   // The garbage never became part of the namespace.
-  auto entries = fs_->ReadDir(cred, "/");
+  auto entries = fs()->ReadDir(cred, "/");
   ASSERT_TRUE(entries.ok());
   EXPECT_EQ(entries->size(), 1u);
 }
 
 TEST_F(LogFsTest, CompactionShrinksLogAndPreservesState) {
   // Churn: overwrite one file many times so most log records are dead.
-  auto fd = fs_->Open(cred, "/churn", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/churn", vfs::kCreate | vfs::kRdWr, 0644);
   ASSERT_TRUE(fd.ok());
   std::string block(4096, 'c');
   for (int i = 0; i < 2000; i++) {
     block[0] = static_cast<char>('a' + (i % 26));
-    ASSERT_TRUE(fs_->Pwrite(*fd, block.data(), block.size(), 0).ok());
+    ASSERT_TRUE(fs()->Pwrite(*fd, block.data(), block.size(), 0).ok());
   }
-  auto fd2 = fs_->Open(cred, "/keep", vfs::kCreate | vfs::kWrite, 0644);
-  ASSERT_TRUE(fs_->Write(*fd2, "keepme", 6).ok());
+  auto fd2 = fs()->Open(cred, "/keep", vfs::kCreate | vfs::kWrite, 0644);
+  ASSERT_TRUE(fs()->Write(*fd2, "keepme", 6).ok());
 
-  fs_->BindThread();
+  fs()->BindThread();
   uint64_t pages_before = logfs().log_pages();
   auto freed = logfs().CompactForTest();
   ASSERT_TRUE(freed.ok());
   EXPECT_LT(logfs().log_pages(), pages_before);
 
   // State intact after compaction...
-  char buf[8] = {};
-  auto kfd = fs_->Open(cred, "/keep", vfs::kRead, 0);
-  ASSERT_TRUE(fs_->Read(*kfd, buf, 6).ok());
-  EXPECT_EQ(std::string(buf, 6), "keepme");
+  EXPECT_EQ(oracle::Read(fs(), cred, "/keep").data, "keepme");
   char c;
-  ASSERT_TRUE(fs_->Pread(*fd, &c, 1, 0).ok());
+  ASSERT_TRUE(fs()->Pread(*fd, &c, 1, 0).ok());
   EXPECT_EQ(c, static_cast<char>('a' + (1999 % 26)));
 
   // ... and after a remount of the compacted log.
-  Boot(/*format=*/false);
-  auto st = fs_->Stat(cred, "/churn");
+  Remount();
+  auto st = fs()->Stat(cred, "/churn");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, 4096u);
-  EXPECT_TRUE(fs_->Stat(cred, "/keep").ok());
+  EXPECT_TRUE(fs()->Stat(cred, "/keep").ok());
 }
 
 TEST_F(LogFsTest, AutomaticCompactionBoundsLogGrowth) {
-  auto fd = fs_->Open(cred, "/hot", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/hot", vfs::kCreate | vfs::kRdWr, 0644);
   ASSERT_TRUE(fd.ok());
   std::string block(4096, 'h');
   for (int i = 0; i < 20000; i++) {
-    ASSERT_TRUE(fs_->Pwrite(*fd, block.data(), block.size(), 0).ok()) << i;
+    ASSERT_TRUE(fs()->Pwrite(*fd, block.data(), block.size(), 0).ok()) << i;
   }
-  fs_->BindThread();
+  fs()->BindThread();
   // 20k overwrites = 20k write records (~40B each) ~ 200 pages without GC.
   EXPECT_LT(logfs().log_pages(), 150u) << "compaction never triggered";
 }
 
 TEST_F(LogFsTest, RecoverAllReclaimsDeadPages) {
-  auto fd = fs_->Open(cred, "/f", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/f", vfs::kCreate | vfs::kRdWr, 0644);
   std::string big(1 << 20, 'r');
-  ASSERT_TRUE(fs_->Pwrite(*fd, big.data(), big.size(), 0).ok());
-  ASSERT_TRUE(fs_->Ftruncate(*fd, 4096).ok());  // 255 pages parked in free lists
+  ASSERT_TRUE(fs()->Pwrite(*fd, big.data(), big.size(), 0).ok());
+  ASSERT_TRUE(fs()->Ftruncate(*fd, 4096).ok());  // 255 pages parked in free lists
 
-  dev_->SimulateCrash();
-  Boot(/*format=*/false);
-  fs_->BindThread();
-  auto stats = fs_->ufs().RecoverAll();
-  ASSERT_TRUE(stats.ok()) << common::ErrName(stats.error());
-  EXPECT_GT(stats->pages_reclaimed, 200u);
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+  st_.Crash();
+  Remount();
+  const oracle::FsckResult r = oracle::Fsck(st_);
+  ASSERT_TRUE(r.ok()) << r.kind << ": " << r.detail;
+  EXPECT_GT(r.stats.pages_reclaimed, 200u);
   // The surviving file still reads.
-  auto st = fs_->Stat(cred, "/f");
+  auto st = fs()->Stat(cred, "/f");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, 4096u);
 }
@@ -224,18 +196,18 @@ TEST_F(LogFsTest, RecoverAllReclaimsDeadPages) {
 TEST_F(LogFsTest, LogStructuredAppendsAreOutOfPlace) {
   // Overwriting the same block repeatedly allocates fresh pages (out of
   // place) and recycles old ones — coffer page usage stays bounded.
-  auto fd = fs_->Open(cred, "/oop", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/oop", vfs::kCreate | vfs::kRdWr, 0644);
   std::string block(4096, 'x');
-  ASSERT_TRUE(fs_->Pwrite(*fd, block.data(), block.size(), 0).ok());
-  auto pages0 = kfs_->PagesOf(kfs_->root_coffer_id());
+  ASSERT_TRUE(fs()->Pwrite(*fd, block.data(), block.size(), 0).ok());
+  auto pages0 = kfs()->PagesOf(kfs()->root_coffer_id());
   uint64_t before = 0;
   for (const auto& r : *pages0) {
     before += r.len;
   }
   for (int i = 0; i < 1000; i++) {
-    ASSERT_TRUE(fs_->Pwrite(*fd, block.data(), block.size(), 0).ok());
+    ASSERT_TRUE(fs()->Pwrite(*fd, block.data(), block.size(), 0).ok());
   }
-  auto pages1 = kfs_->PagesOf(kfs_->root_coffer_id());
+  auto pages1 = kfs()->PagesOf(kfs()->root_coffer_id());
   uint64_t after = 0;
   for (const auto& r : *pages1) {
     after += r.len;

@@ -11,6 +11,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -19,22 +20,13 @@ using common::Err;
 class MmapExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
     kernfs::FormatOptions f;
     f.root_mode = 0755;
     f.root_uid = 1000;
     f.root_gid = 1000;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{1000, 1000});
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+    st_.Format(f, cred);
+    kfs_ = st_.kfs();
+    fs_ = st_.fs();
   }
 
   zofs::NodeRef MakeFile(const std::string& path, const std::string& content, uint16_t mode) {
@@ -48,9 +40,10 @@ class MmapExecTest : public ::testing::Test {
   }
 
   vfs::Cred cred{1000, 1000};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(128ull << 20);
+  oracle::Stack st_{dev_.get()};
+  kernfs::KernFs* kfs_ = nullptr;  // st_'s, for the whole test
+  fslib::FsLib* fs_ = nullptr;
 };
 
 TEST_F(MmapExecTest, MmapGivesDirectApplicationAccess) {
@@ -86,17 +79,14 @@ TEST_F(MmapExecTest, WritableMmapAllowsStores) {
   dev_->Store64((*pages)[0] * nvm::kPageSize, 0x4141414141414141ULL);  // no throw
   ASSERT_TRUE(fs_->zofs().MunmapNode(node, *pages).ok());
   // The store went to the real file data: read it back through the FS.
-  auto fd = fs_->Open(cred, "/rw", vfs::kRead, 0);
-  char buf[8];
-  ASSERT_TRUE(fs_->Pread(*fd, buf, 8, 0).ok());
-  EXPECT_EQ(memcmp(buf, "AAAAAAAA", 8), 0);
+  EXPECT_EQ(oracle::Read(fs_, cred, "/rw", 8).data, "AAAAAAAA");
 }
 
 TEST_F(MmapExecTest, MmapOfInlineFileRejected) {
   // Inline files live inside the inode page; they cannot be handed out.
   zofs::Options z;
   z.inline_data = true;
-  auto fs2 = std::make_unique<fslib::FsLib>(kfs_.get(), cred, z);
+  auto fs2 = std::make_unique<fslib::FsLib>(kfs_, cred, z);
   auto fd = fs2->Open(cred, "/tiny", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fs2->Write(*fd, "small", 5).ok());
   fs2->BindThread();

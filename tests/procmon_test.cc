@@ -12,10 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,53 +25,26 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 #include "src/procmon/procmon.h"
 #include "src/zofs/alloc.h"
 #include "src/zofs/zofs.h"
 
 namespace {
 
-const vfs::Cred kRoot{0, 0};
+using oracle::kRoot;
 const vfs::Cred kTenant{100, 100};
-
-// Fires once, at the named point only.
-struct KillArm {
-  const char* point;
-  bool fired = false;
-};
-
-bool KillHandler(void* ctx, const char* point) {
-  auto* a = static_cast<KillArm*>(ctx);
-  if (a->fired || strcmp(a->point, point) != 0) {
-    return false;
-  }
-  a->fired = true;
-  return true;
-}
 
 class ProcmonTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    clock_.emplace(1'000'000'000ull);  // deterministic lease arithmetic
-    nvm::Options o;
-    o.size_bytes = 64ull << 20;
-    o.crash_tracking = true;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
     kernfs::FormatOptions f;
     f.root_mode = 0777;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
+    st_.Format(f);
+    kfs_ = st_.kfs();
   }
 
-  void TearDown() override {
-    common::InstallKillPoint(nullptr, nullptr);
-    common::SetCurrentThreadKilled(false);
-    survivor_.reset();
-    victim_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
+  void TearDown() override { common::SetCurrentThreadKilled(false); }
 
   // Runs `setup` (kill points disarmed) then `op` (kill point armed) on a
   // fresh tenant process with its own lease identity, killing it at `point`.
@@ -81,8 +52,7 @@ class ProcmonTest : public ::testing::Test {
   // clock advanced past lease expiry.
   void KillTenantAt(const char* point, const std::function<void(fslib::FsLib*)>& setup,
                     const std::function<void(fslib::FsLib*)>& op) {
-    victim_ = std::make_unique<fslib::FsLib>(kfs_.get(), kTenant);
-    arm_ = KillArm{point};
+    victim_ = std::make_unique<fslib::FsLib>(kfs_, kTenant);
     bool fired = false;
     {
       zofs::ScopedTidOverride tid(1000);
@@ -90,14 +60,14 @@ class ProcmonTest : public ::testing::Test {
       if (setup != nullptr) {
         setup(victim_.get());
       }
-      common::InstallKillPoint(&KillHandler, &arm_);
+      common::ScopedKillArm arm(point);
       try {
         op(victim_.get());
       } catch (const common::ProcessKilledError& e) {
         EXPECT_STREQ(e.point, point);
         fired = true;
       }
-      common::InstallKillPoint(nullptr, nullptr);
+      EXPECT_EQ(arm.fired(), fired);
       common::SetCurrentThreadKilled(false);
     }
     mpk::BindThreadToProcess(nullptr);
@@ -109,19 +79,14 @@ class ProcmonTest : public ::testing::Test {
     common::AdvanceNowNsForTest(10'000'000'000ull);  // lapse the dead lease
   }
 
-  fslib::FsLib* Survivor() {
-    if (survivor_ == nullptr) {
-      survivor_ = std::make_unique<fslib::FsLib>(kfs_.get(), kRoot);
-    }
-    return survivor_.get();
-  }
+  // The root process that outlives the victims.
+  fslib::FsLib* Survivor() { return st_.fs(); }
 
-  std::optional<common::ScopedClockPin> clock_;
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
+  common::ScopedClockPin clock_{1'000'000'000ull};  // deterministic lease arithmetic
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(64ull << 20, /*crash_tracking=*/true);
+  oracle::Stack st_{dev_.get()};
+  kernfs::KernFs* kfs_ = nullptr;  // st_'s, for the whole test
   std::unique_ptr<fslib::FsLib> victim_;
-  std::unique_ptr<fslib::FsLib> survivor_;
-  KillArm arm_{nullptr};
 };
 
 TEST_F(ProcmonTest, StealRepairsPendingStagedIntentWithoutRemount) {
@@ -204,12 +169,7 @@ TEST_F(ProcmonTest, StealRepairsPendingRenameIntentWithoutRemount) {
   auto st = fs->Stat(kRoot, "/v/b");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, 7u);
-  auto fd = fs->Open(kRoot, "/v/b", vfs::kRead, 0);
-  ASSERT_TRUE(fd.ok());
-  std::string back(7, 0);
-  ASSERT_TRUE(fs->Pread(*fd, back.data(), back.size(), 0).ok());
-  EXPECT_EQ(back, "payload");
-  ASSERT_TRUE(fs->Close(*fd).ok());
+  EXPECT_EQ(oracle::Read(fs, kRoot, "/v/b").data, "payload");
 }
 
 TEST_F(ProcmonTest, ConcurrentStealExactlyOneWins) {

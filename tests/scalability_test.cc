@@ -26,6 +26,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -40,25 +41,17 @@ constexpr int kNumGroupModes = 15;
 class ScalabilityBase : public ::testing::Test {
  protected:
   void Build(zofs::Options zopts) {
-    nvm::Options o;
-    o.size_bytes = 256ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
     kernfs::FormatOptions f;
     f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), kCred, zopts);
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+    st_.Format(f, kCred, zopts);
+    kfs_ = st_.kfs();
+    fs_ = st_.fs();
   }
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(256ull << 20);
+  oracle::Stack st_{dev_.get()};
+  kernfs::KernFs* kfs_ = nullptr;  // st_'s, for the whole test
+  fslib::FsLib* fs_ = nullptr;
 };
 
 class ScalabilityTsan : public ScalabilityBase {

@@ -13,6 +13,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -21,30 +22,24 @@ using vfs::Cred;
 
 class ZofsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options nopts;
-    nopts.size_bytes = 64ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(nopts);
-    mpk::InstallDeviceHook(dev_.get());
+  void SetUp() override { Boot(cred); }
+
+  // Formats a device whose root directory uid/gid 1000 own, mounted by `who`.
+  void Boot(Cred who, const zofs::Options& zo = {}) {
     kernfs::FormatOptions fopts;
     fopts.root_mode = 0777;
     fopts.root_uid = 1000;
     fopts.root_gid = 1000;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), fopts);
-    kfs_->set_kernel_crossing_ns(0);  // tests don't need the cost model
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), Cred{1000, 1000});
-  }
-
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+    st_.Format(fopts, who, zo);
+    kfs_ = st_.kfs();
+    fs_ = st_.fs();
   }
 
   Cred cred{1000, 1000};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(64ull << 20);
+  oracle::Stack st_{dev_.get()};
+  kernfs::KernFs* kfs_ = nullptr;  // st_'s, for the whole test
+  fslib::FsLib* fs_ = nullptr;
 };
 
 TEST_F(ZofsTest, CreateWriteReadRoundtrip) {
@@ -273,12 +268,7 @@ TEST_F(ZofsTest, SymlinkResolvesOnOpen) {
   ASSERT_TRUE(rl.ok());
   EXPECT_EQ(*rl, "/target");
 
-  auto lfd = fs_->Open(cred, "/link", vfs::kRead, 0);
-  ASSERT_TRUE(lfd.ok());
-  char buf[16] = {};
-  auto r = fs_->Read(*lfd, buf, sizeof(buf));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(std::string(buf, *r), "via-link");
+  EXPECT_EQ(oracle::Read(fs_, cred, "/link").data, "via-link");
 }
 
 TEST_F(ZofsTest, RelativeSymlinkInDirectory) {
@@ -325,7 +315,7 @@ TEST_F(ZofsTest, PermissionDeniedForOtherUser) {
   ASSERT_TRUE(fs_->Write(*fd, "secret", 6).ok());
 
   // A second process with a different uid cannot map the 0600 coffer.
-  fslib::FsLib other(kfs_.get(), Cred{2000, 2000});
+  fslib::FsLib other(kfs_, Cred{2000, 2000});
   auto ofd = other.Open(Cred{2000, 2000}, "/private", vfs::kRead, 0);
   ASSERT_FALSE(ofd.ok());
   EXPECT_EQ(ofd.error(), Err::kAcces);
@@ -436,13 +426,11 @@ class ZofsLeaseTest : public ZofsTest {
   static constexpr uint64_t kForeignOwner = 0xF0F0'0000'0001ull;
 
   void SetUp() override {
-    ZofsTest::SetUp();
     // Root, so chown reaches its split path; a 1 ms lease keeps the bounded
     // wait at its 10 ms floor.
-    fs_.reset();
     zofs::Options zo;
     zo.lease_ns = 1'000'000;
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), root, zo);
+    Boot(root, zo);
   }
 
   // Stamps `path`'s inode lease the way another process's store would.
@@ -483,12 +471,9 @@ class ZofsLeaseTest : public ZofsTest {
         out += Tree(p);
         continue;
       }
-      auto fd = fs_->Open(root, p, vfs::kRead, 0);
-      if (fd.ok()) {
-        std::string data(st->size, '\0');
-        auto r = fs_->Pread(*fd, data.data(), data.size(), 0);
-        out += "  [" + (r.ok() ? data.substr(0, *r) : std::string("?")) + "]\n";
-        fs_->Close(*fd);
+      const oracle::ReadBack rb = oracle::Read(fs_, root, p, st->size);
+      if (rb.state != oracle::ReadBack::State::kAbsent) {
+        out += "  [" + (rb.present() ? rb.data : std::string("?")) + "]\n";
       }
     }
     return out;

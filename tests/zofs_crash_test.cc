@@ -14,10 +14,8 @@
 
 #include "src/audit/audit.h"
 #include "src/common/rand.h"
-#include "src/fslib/fslib.h"
-#include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
-#include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -26,100 +24,87 @@ using common::Err;
 class ZofsCrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    o.crash_tracking = true;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    Boot(/*format=*/true);
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
-  void Boot(bool format) {
-    fs_.reset();
-    kfs_.reset();
-    if (format) {
-      kernfs::FormatOptions f;
-      f.root_mode = 0755;
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    } else {
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-    }
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
+    kernfs::FormatOptions f;
+    f.root_mode = 0755;
+    st_.Format(f);
     dev_->MarkAllPersistent();  // mount state is durable by definition
   }
 
-  void CrashAndReboot() {
-    dev_->SimulateCrash();
-    Boot(/*format=*/false);
-    auto stats = fs_->zofs().RecoverAll();
-    ASSERT_TRUE(stats.ok()) << common::ErrName(stats.error());
-    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+  // Mounts whatever image the device holds and runs the fsck oracle.
+  oracle::FsckResult Reboot() {
+    st_.Mount();
+    dev_->MarkAllPersistent();
+    return oracle::Fsck(st_);
   }
 
+  void CrashAndReboot() {
+    st_.Crash();
+    const oracle::FsckResult r = Reboot();
+    ASSERT_TRUE(r.ok()) << r.kind << ": " << r.detail;
+  }
+
+  // Replaces the device contents with a crash image (nothing mounted while
+  // it lands) and reboots it.
+  oracle::FsckResult RebootInto(const std::vector<uint8_t>& img) {
+    st_.Unmount();
+    dev_->RestoreFrom(img.data(), img.size());
+    return Reboot();
+  }
+
+  fslib::FsLib* fs() { return st_.fs(); }
+  kernfs::KernFs* kfs() { return st_.kfs(); }
+
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(128ull << 20, /*crash_tracking=*/true);
+  oracle::Stack st_{dev_.get()};
 };
 
 TEST_F(ZofsCrashTest, CompletedWriteSurvivesCrash) {
-  auto fd = fs_->Open(cred, "/a", vfs::kCreate | vfs::kWrite, 0644);
+  auto fd = fs()->Open(cred, "/a", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
   std::string data(10000, 'k');
-  ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), 0).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, data.data(), data.size(), 0).ok());
 
   CrashAndReboot();
 
-  auto fd2 = fs_->Open(cred, "/a", vfs::kRead, 0);
-  ASSERT_TRUE(fd2.ok());
-  std::string buf(10000, 0);
-  auto r = fs_->Pread(*fd2, buf.data(), buf.size(), 0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, data.size());
-  EXPECT_EQ(buf, data);
+  EXPECT_EQ(oracle::Read(fs(), cred, "/a").data, data);
 }
 
 TEST_F(ZofsCrashTest, CompletedCreateSurvivesCrash) {
   for (int i = 0; i < 50; i++) {
     ASSERT_TRUE(
-        fs_->Open(cred, "/f" + std::to_string(i), vfs::kCreate | vfs::kWrite, 0644).ok());
+        fs()->Open(cred, "/f" + std::to_string(i), vfs::kCreate | vfs::kWrite, 0644).ok());
   }
   CrashAndReboot();
   for (int i = 0; i < 50; i++) {
-    EXPECT_TRUE(fs_->Stat(cred, "/f" + std::to_string(i)).ok()) << i;
+    EXPECT_TRUE(fs()->Stat(cred, "/f" + std::to_string(i)).ok()) << i;
   }
 }
 
 TEST_F(ZofsCrashTest, CompletedUnlinkSurvivesCrash) {
-  ASSERT_TRUE(fs_->Open(cred, "/gone", vfs::kCreate | vfs::kWrite, 0644).ok());
-  ASSERT_TRUE(fs_->Unlink(cred, "/gone").ok());
+  ASSERT_TRUE(fs()->Open(cred, "/gone", vfs::kCreate | vfs::kWrite, 0644).ok());
+  ASSERT_TRUE(fs()->Unlink(cred, "/gone").ok());
   CrashAndReboot();
-  EXPECT_EQ(fs_->Stat(cred, "/gone").error(), Err::kNoEnt);
+  EXPECT_EQ(fs()->Stat(cred, "/gone").error(), Err::kNoEnt);
 }
 
 TEST_F(ZofsCrashTest, CompletedRenameSurvivesCrash) {
-  ASSERT_TRUE(fs_->Mkdir(cred, "/d1", 0755).ok());
-  ASSERT_TRUE(fs_->Mkdir(cred, "/d2", 0755).ok());
-  auto fd = fs_->Open(cred, "/d1/f", vfs::kCreate | vfs::kWrite, 0644);
-  ASSERT_TRUE(fs_->Write(*fd, "abc", 3).ok());
-  ASSERT_TRUE(fs_->Rename(cred, "/d1/f", "/d2/g").ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/d1", 0755).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/d2", 0755).ok());
+  auto fd = fs()->Open(cred, "/d1/f", vfs::kCreate | vfs::kWrite, 0644);
+  ASSERT_TRUE(fs()->Write(*fd, "abc", 3).ok());
+  ASSERT_TRUE(fs()->Rename(cred, "/d1/f", "/d2/g").ok());
   CrashAndReboot();
-  EXPECT_TRUE(fs_->Stat(cred, "/d2/g").ok());
-  EXPECT_EQ(fs_->Stat(cred, "/d1/f").error(), Err::kNoEnt);
+  EXPECT_TRUE(fs()->Stat(cred, "/d2/g").ok());
+  EXPECT_EQ(fs()->Stat(cred, "/d1/f").error(), Err::kNoEnt);
 }
 
 TEST_F(ZofsCrashTest, CrossCofferFileSurvivesCrash) {
-  auto fd = fs_->Open(cred, "/secret", vfs::kCreate | vfs::kWrite, 0600);
+  auto fd = fs()->Open(cred, "/secret", vfs::kCreate | vfs::kWrite, 0600);
   ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(fs_->Write(*fd, "sh", 2).ok());
+  ASSERT_TRUE(fs()->Write(*fd, "sh", 2).ok());
   CrashAndReboot();
-  auto st = fs_->Stat(cred, "/secret");
+  auto st = fs()->Stat(cred, "/secret");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, 2u);
   EXPECT_EQ(st->mode, 0600);
@@ -128,21 +113,19 @@ TEST_F(ZofsCrashTest, CrossCofferFileSurvivesCrash) {
 TEST_F(ZofsCrashTest, RecoveryReclaimsAllocatorFreeLists) {
   // Grow and shrink a file, leaving pages parked in leased free lists; after
   // a crash + recovery those pages return to the kernel.
-  auto fd = fs_->Open(cred, "/grow", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/grow", vfs::kCreate | vfs::kRdWr, 0644);
   std::vector<uint8_t> chunk(1 << 20, 0xaa);
-  ASSERT_TRUE(fs_->Pwrite(*fd, chunk.data(), chunk.size(), 0).ok());
-  ASSERT_TRUE(fs_->Ftruncate(*fd, 4096).ok());  // 255 data pages into free lists
+  ASSERT_TRUE(fs()->Pwrite(*fd, chunk.data(), chunk.size(), 0).ok());
+  ASSERT_TRUE(fs()->Ftruncate(*fd, 4096).ok());  // 255 data pages into free lists
 
-  uint64_t free_before = kfs_->FreePages();
-  dev_->SimulateCrash();
-  Boot(false);
-  auto stats = fs_->zofs().RecoverAll();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GT(stats->pages_reclaimed, 200u);
-  EXPECT_GT(kfs_->FreePages(), free_before);
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
+  uint64_t free_before = kfs()->FreePages();
+  st_.Crash();
+  const oracle::FsckResult r = Reboot();
+  ASSERT_TRUE(r.ok()) << r.kind << ": " << r.detail;
+  EXPECT_GT(r.stats.pages_reclaimed, 200u);
+  EXPECT_GT(kfs()->FreePages(), free_before);
   // The file itself survives at its truncated size.
-  auto st = fs_->Stat(cred, "/grow");
+  auto st = fs()->Stat(cred, "/grow");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, 4096u);
 }
@@ -154,7 +137,7 @@ TEST_F(ZofsCrashTest, RandomOpsWithCrashKeepInvariants) {
   // consistent, (c) a full tree walk must not fault.
   common::Rng rng(2024);
   std::set<std::string> live;
-  ASSERT_TRUE(fs_->Mkdir(cred, "/w", 0755).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/w", 0755).ok());
 
   for (int round = 0; round < 5; round++) {
     const int ops = 120;
@@ -162,42 +145,42 @@ TEST_F(ZofsCrashTest, RandomOpsWithCrashKeepInvariants) {
       std::string name = "/w/f" + std::to_string(rng.Below(60));
       switch (rng.Below(4)) {
         case 0: {
-          auto fd = fs_->Open(cred, name, vfs::kCreate | vfs::kWrite, 0644);
+          auto fd = fs()->Open(cred, name, vfs::kCreate | vfs::kWrite, 0644);
           if (fd.ok()) {
             std::vector<uint8_t> data(rng.Below(20000));
             rng.Fill(data.data(), data.size());
-            fs_->Pwrite(*fd, data.data(), data.size(), 0);
-            fs_->Close(*fd);
+            fs()->Pwrite(*fd, data.data(), data.size(), 0);
+            fs()->Close(*fd);
             live.insert(name);
           }
           break;
         }
         case 1:
-          if (fs_->Unlink(cred, name).ok()) {
+          if (fs()->Unlink(cred, name).ok()) {
             live.erase(name);
           }
           break;
         case 2: {
-          auto fd = fs_->Open(cred, name, vfs::kWrite, 0);
+          auto fd = fs()->Open(cred, name, vfs::kWrite, 0);
           if (fd.ok()) {
             std::vector<uint8_t> data(4096);
-            fs_->Pwrite(*fd, data.data(), data.size(), rng.Below(8) * 4096);
-            fs_->Close(*fd);
+            fs()->Pwrite(*fd, data.data(), data.size(), rng.Below(8) * 4096);
+            fs()->Close(*fd);
           }
           break;
         }
         case 3:
-          fs_->Stat(cred, name);
+          fs()->Stat(cred, name);
           break;
       }
     }
     CrashAndReboot();
     // (a) completed creations survive.
     for (const std::string& name : live) {
-      EXPECT_TRUE(fs_->Stat(cred, name).ok()) << name << " lost after crash";
+      EXPECT_TRUE(fs()->Stat(cred, name).ok()) << name << " lost after crash";
     }
     // (c) full-tree walk with no faults.
-    auto entries = fs_->ReadDir(cred, "/w");
+    auto entries = fs()->ReadDir(cred, "/w");
     ASSERT_TRUE(entries.ok());
     EXPECT_GE(entries->size(), live.size());
   }
@@ -210,19 +193,19 @@ TEST_F(ZofsCrashTest, AuditedRecoveryHasNoOrderingViolations) {
   audit::Auditor a;
   a.Attach(dev_.get());
 
-  ASSERT_TRUE(fs_->Mkdir(cred, "/d", 0755).ok());
-  auto fd = fs_->Open(cred, "/d/f", vfs::kCreate | vfs::kRdWr, 0644);
+  ASSERT_TRUE(fs()->Mkdir(cred, "/d", 0755).ok());
+  auto fd = fs()->Open(cred, "/d/f", vfs::kCreate | vfs::kRdWr, 0644);
   ASSERT_TRUE(fd.ok());
   std::string data(30000, 'z');
-  ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), 0).ok());
-  ASSERT_TRUE(fs_->Rename(cred, "/d/f", "/d/g").ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, data.data(), data.size(), 0).ok());
+  ASSERT_TRUE(fs()->Rename(cred, "/d/f", "/d/g").ok());
 
   CrashAndReboot();
 
   // Post-recovery, the completed operations are visible and new ones work.
-  EXPECT_TRUE(fs_->Stat(cred, "/d/g").ok());
-  ASSERT_TRUE(fs_->Unlink(cred, "/d/g").ok());
-  ASSERT_TRUE(fs_->Rmdir(cred, "/d").ok());
+  EXPECT_TRUE(fs()->Stat(cred, "/d/g").ok());
+  ASSERT_TRUE(fs()->Unlink(cred, "/d/g").ok());
+  ASSERT_TRUE(fs()->Rmdir(cred, "/d").ok());
 
   audit::Report r = a.Snapshot();
   a.Detach();
@@ -239,20 +222,20 @@ TEST_F(ZofsCrashTest, AuditedRecoveryHasNoOrderingViolations) {
 TEST_F(ZofsCrashTest, TornDentryIsRepairedByFsck) {
   // Hand-craft a torn create: write a dentry body without its commit flag
   // persisted, crash, and verify recovery clears it.
-  ASSERT_TRUE(fs_->Open(cred, "/ok", vfs::kCreate | vfs::kWrite, 0644).ok());
+  ASSERT_TRUE(fs()->Open(cred, "/ok", vfs::kCreate | vfs::kWrite, 0644).ok());
   dev_->MarkAllPersistent();
 
   // A create whose final flag-store never persisted: emulate by creating a
   // file and then crashing *without* the persist of the last operation...
   // Simplest honest torn state: corrupt a dentry name so hash mismatches.
-  fs_->BindThread();
-  auto node = fs_->zofs().Lookup("/ok", true);
+  fs()->BindThread();
+  auto node = fs()->zofs().Lookup("/ok", true);
   ASSERT_TRUE(node.ok());
-  auto root_info = fs_->zofs().EnsureMappedForTest(kfs_->root_coffer_id(), true);
+  auto root_info = fs()->zofs().EnsureMappedForTest(kfs()->root_coffer_id(), true);
   {
     mpk::AccessWindow w(root_info->key, true);
-    zofs::Inode* root_ino = fs_->zofs().InodeForTest(
-        zofs::NodeRef{kfs_->root_coffer_id(), root_info->root_inode_off});
+    zofs::Inode* root_ino = fs()->zofs().InodeForTest(
+        zofs::NodeRef{kfs()->root_coffer_id(), root_info->root_inode_off});
     uint64_t* l1 = dev_->As<uint64_t>(root_ino->l1_dir);
     for (uint64_t s = 0; s < zofs::kL1Slots; s++) {
       if (l1[s] == 0) {
@@ -269,9 +252,9 @@ TEST_F(ZofsCrashTest, TornDentryIsRepairedByFsck) {
   }
   CrashAndReboot();
   // fsck must have cleared the corrupted dentry; lookups fail cleanly.
-  EXPECT_EQ(fs_->Stat(cred, "/ok").error(), Err::kNoEnt);
-  EXPECT_EQ(fs_->Stat(cred, "/Xk").error(), Err::kNoEnt);
-  auto entries = fs_->ReadDir(cred, "/");
+  EXPECT_EQ(fs()->Stat(cred, "/ok").error(), Err::kNoEnt);
+  EXPECT_EQ(fs()->Stat(cred, "/Xk").error(), Err::kNoEnt);
+  auto entries = fs()->ReadDir(cred, "/");
   ASSERT_TRUE(entries.ok());
 }
 
@@ -279,26 +262,21 @@ TEST_F(ZofsCrashTest, FailedRenameLeavesDestinationIntact) {
   // Rename validates before touching anything: a rename that fails (here,
   // onto a non-empty directory) must leave the existing destination — and its
   // contents — untouched, both immediately and across a crash.
-  ASSERT_TRUE(fs_->Mkdir(cred, "/dir", 0755).ok());
-  ASSERT_TRUE(fs_->Open(cred, "/dir/child", vfs::kCreate | vfs::kWrite, 0644).ok());
-  auto fd = fs_->Open(cred, "/f", vfs::kCreate | vfs::kWrite, 0644);
+  ASSERT_TRUE(fs()->Mkdir(cred, "/dir", 0755).ok());
+  ASSERT_TRUE(fs()->Open(cred, "/dir/child", vfs::kCreate | vfs::kWrite, 0644).ok());
+  auto fd = fs()->Open(cred, "/f", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(fs_->Pwrite(*fd, "keep", 4, 0).ok());
-  ASSERT_TRUE(fs_->Close(*fd).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, "keep", 4, 0).ok());
+  ASSERT_TRUE(fs()->Close(*fd).ok());
 
-  EXPECT_FALSE(fs_->Rename(cred, "/f", "/dir").ok());      // file over dir
-  EXPECT_FALSE(fs_->Rename(cred, "/dir", "/f").ok());      // dir over file
-  EXPECT_FALSE(fs_->Rename(cred, "/nosuch", "/f").ok());   // missing source
+  EXPECT_FALSE(fs()->Rename(cred, "/f", "/dir").ok());      // file over dir
+  EXPECT_FALSE(fs()->Rename(cred, "/dir", "/f").ok());      // dir over file
+  EXPECT_FALSE(fs()->Rename(cred, "/nosuch", "/f").ok());   // missing source
 
   CrashAndReboot();
 
-  EXPECT_TRUE(fs_->Stat(cred, "/dir/child").ok());
-  auto fd2 = fs_->Open(cred, "/f", vfs::kRead, 0);
-  ASSERT_TRUE(fd2.ok());
-  char buf[8] = {};
-  auto r = fs_->Pread(*fd2, buf, sizeof(buf), 0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(std::string(buf, *r), "keep");
+  EXPECT_TRUE(fs()->Stat(cred, "/dir/child").ok());
+  EXPECT_EQ(oracle::Read(fs(), cred, "/f").data, "keep");
 }
 
 TEST_F(ZofsCrashTest, RenameOverwriteIsCrashAtomicAtEveryEpoch) {
@@ -309,10 +287,10 @@ TEST_F(ZofsCrashTest, RenameOverwriteIsCrashAtomicAtEveryEpoch) {
   const std::string old_data(2000, 'd');
   const std::string new_data(3000, 's');
   auto mk = [&](const char* path, uint16_t mode, const std::string& data) {
-    auto fd = fs_->Open(cred, path, vfs::kCreate | vfs::kWrite, mode);
+    auto fd = fs()->Open(cred, path, vfs::kCreate | vfs::kWrite, mode);
     ASSERT_TRUE(fd.ok());
-    ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), 0).ok());
-    ASSERT_TRUE(fs_->Close(*fd).ok());
+    ASSERT_TRUE(fs()->Pwrite(*fd, data.data(), data.size(), 0).ok());
+    ASSERT_TRUE(fs()->Close(*fd).ok());
   };
   mk("/src", 0644, new_data);
   mk("/dst", 0600, old_data);
@@ -320,47 +298,31 @@ TEST_F(ZofsCrashTest, RenameOverwriteIsCrashAtomicAtEveryEpoch) {
   dev_->StartCrashCapture();
   std::vector<uint8_t> snapshot;
   dev_->SnapshotTo(&snapshot);
-  ASSERT_TRUE(fs_->Rename(cred, "/src", "/dst").ok());
+  ASSERT_TRUE(fs()->Rename(cred, "/src", "/dst").ok());
   std::vector<nvm::CrashEpoch> journal = dev_->crash_journal();
   dev_->StopCrashCapture();
   ASSERT_GT(journal.size(), 1u);
 
-  auto read_file = [&](const char* path, std::string* out) -> int {
-    auto fd = fs_->Open(cred, path, vfs::kRead, 0);
-    if (!fd.ok()) {
-      return fd.error() == Err::kNoEnt ? 0 : -1;
-    }
-    auto st = fs_->Fstat(*fd);
-    if (!st.ok()) {
-      return -1;
-    }
-    out->assign(st->size, 0);
-    auto r = fs_->Pread(*fd, out->data(), out->size(), 0);
-    return (r.ok() && *r == out->size()) ? 1 : -1;
-  };
+  oracle::SweepImages(
+      snapshot, journal, /*seed=*/0,
+      oracle::CrashPoints(journal.size(), /*mid_per_fence=*/0, /*max_points=*/0),
+      [&](const oracle::CrashPoint& p, const std::vector<uint8_t>& img) {
+        const int64_t e = p.base_epoch;
+        const oracle::FsckResult r = RebootInto(img);
+        ASSERT_TRUE(r.ok()) << "epoch " << e << ": " << r.kind << ": " << r.detail;
 
-  nvm::CrashImageBuilder builder(snapshot, &journal);
-  for (int64_t e = -1; e < static_cast<int64_t>(journal.size()); e++) {
-    builder.AdvanceTo(e);
-    dev_->RestoreFrom(builder.image().data(), builder.image().size());
-    Boot(/*format=*/false);
-    auto stats = fs_->zofs().RecoverAll();
-    ASSERT_TRUE(stats.ok()) << "epoch " << e << ": " << common::ErrName(stats.error());
-    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty())
-        << "epoch " << e << ": " << kfs_->CheckAllocTableForTest();
-
-    std::string dst;
-    ASSERT_EQ(read_file("/dst", &dst), 1) << "epoch " << e << ": destination lost";
-    std::string src;
-    int src_state = read_file("/src", &src);
-    if (dst == new_data) {
-      EXPECT_EQ(src_state, 0) << "epoch " << e << ": rename committed but source remains";
-    } else {
-      ASSERT_EQ(dst, old_data) << "epoch " << e << ": destination torn";
-      ASSERT_EQ(src_state, 1) << "epoch " << e;
-      EXPECT_EQ(src, new_data) << "epoch " << e;
-    }
-  }
+        const oracle::ReadBack dst = oracle::Read(fs(), cred, "/dst");
+        ASSERT_TRUE(dst.present()) << "epoch " << e << ": destination lost";
+        const oracle::ReadBack src = oracle::Read(fs(), cred, "/src");
+        if (dst.data == new_data) {
+          EXPECT_EQ(src.state, oracle::ReadBack::State::kAbsent)
+              << "epoch " << e << ": rename committed but source remains";
+        } else {
+          ASSERT_EQ(dst.data, old_data) << "epoch " << e << ": destination torn";
+          ASSERT_TRUE(src.present()) << "epoch " << e;
+          EXPECT_EQ(src.data, new_data) << "epoch " << e;
+        }
+      });
 }
 
 TEST_F(ZofsCrashTest, StagedAppendIsCrashSafeAtEveryEpochAndMidEpoch) {
@@ -384,17 +346,17 @@ TEST_F(ZofsCrashTest, StagedAppendIsCrashSafeAtEveryEpochAndMidEpoch) {
   // drain also happens mid-run.
   const std::string base(100, 'b');
   {
-    auto fd = fs_->Open(cred, "/log", vfs::kCreate | vfs::kWrite, 0644);
+    auto fd = fs()->Open(cred, "/log", vfs::kCreate | vfs::kWrite, 0644);
     ASSERT_TRUE(fd.ok());
-    ASSERT_TRUE(fs_->Pwrite(*fd, base.data(), base.size(), 0).ok());
-    ASSERT_TRUE(fs_->Close(*fd).ok());
+    ASSERT_TRUE(fs()->Pwrite(*fd, base.data(), base.size(), 0).ok());
+    ASSERT_TRUE(fs()->Close(*fd).ok());
   }
 
   dev_->StartCrashCapture();
   std::vector<uint8_t> snapshot;
   dev_->SnapshotTo(&snapshot);
 
-  auto fd = fs_->Open(cred, "/log", vfs::kWrite | vfs::kAppend, 0);
+  auto fd = fs()->Open(cred, "/log", vfs::kWrite | vfs::kAppend, 0);
   ASSERT_TRUE(fd.ok());
   std::string full = base;
   std::string synced = base;  // durable watermark
@@ -402,74 +364,44 @@ TEST_F(ZofsCrashTest, StagedAppendIsCrashSafeAtEveryEpochAndMidEpoch) {
   common::Rng rng(1234);
   for (int i = 0; i < 60; i++) {
     std::string chunk(1500 + 700 * rng.Below(7), static_cast<char>('a' + i % 26));
-    auto r = fs_->Write(*fd, chunk.data(), chunk.size());
+    auto r = fs()->Write(*fd, chunk.data(), chunk.size());
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(*r, chunk.size()) << i;
     full += chunk;
     if (i == 29) {
-      ASSERT_TRUE(fs_->Fsync(*fd).ok());
+      ASSERT_TRUE(fs()->Fsync(*fd).ok());
       synced = full;
       fsync_end_fence = dev_->sfence_count();
     }
   }
-  ASSERT_TRUE(fs_->Close(*fd).ok());  // durability point: drains the stage
+  ASSERT_TRUE(fs()->Close(*fd).ok());  // durability point: drains the stage
 
   std::vector<nvm::CrashEpoch> journal = dev_->crash_journal();
   dev_->StopCrashCapture();
   ASSERT_GT(journal.size(), 4u);
 
-  auto check_image = [&](int64_t e, int variant, uint64_t f) {
-    Boot(/*format=*/false);
-    auto stats = fs_->zofs().RecoverAll();
-    ASSERT_TRUE(stats.ok()) << "epoch " << e << " mid#" << variant << ": "
-                            << common::ErrName(stats.error());
-    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty())
-        << "epoch " << e << " mid#" << variant << ": " << kfs_->CheckAllocTableForTest();
+  // Mid-epoch subsets come from the shared deterministic picker.
+  oracle::SweepImages(
+      snapshot, journal, /*seed=*/0x5eed,
+      oracle::CrashPoints(journal.size(), /*mid_per_fence=*/2, /*max_points=*/0),
+      [&](const oracle::CrashPoint& p, const std::vector<uint8_t>& img) {
+        const int64_t e = p.base_epoch;
+        const uint64_t f = e < 0 ? 0 : journal[e].fence_seq;
+        const oracle::FsckResult r = RebootInto(img);
+        ASSERT_TRUE(r.ok()) << "epoch " << e << " mid#" << p.variant << ": " << r.kind << ": "
+                            << r.detail;
 
-    const std::string& floor = (fsync_end_fence != 0 && f >= fsync_end_fence) ? synced : base;
-    auto rfd = fs_->Open(cred, "/log", vfs::kRead, 0);
-    ASSERT_TRUE(rfd.ok()) << "epoch " << e << " mid#" << variant << ": file lost";
-    auto st = fs_->Fstat(*rfd);
-    ASSERT_TRUE(st.ok());
-    EXPECT_GE(st->size, floor.size()) << "epoch " << e << " mid#" << variant
-                                      << ": durable watermark lost";
-    EXPECT_LE(st->size, full.size()) << "epoch " << e << " mid#" << variant
-                                     << ": size beyond everything written";
-    std::string got(floor.size(), 0);
-    auto r = fs_->Pread(*rfd, got.data(), got.size(), 0);
-    ASSERT_TRUE(r.ok());
-    ASSERT_EQ(*r, got.size());
-    EXPECT_EQ(got, floor) << "epoch " << e << " mid#" << variant << ": durable prefix torn";
-  };
-
-  nvm::CrashImageBuilder builder(snapshot, &journal);
-  std::vector<uint8_t> scratch;
-  for (int64_t e = -1; e < static_cast<int64_t>(journal.size()); e++) {
-    builder.AdvanceTo(e);
-    const uint64_t f = e < 0 ? 0 : journal[e].fence_seq;
-    dev_->RestoreFrom(builder.image().data(), builder.image().size());
-    check_image(e, -1, f);
-    for (int k = 0; k < 2; k++) {
-      std::vector<bool> pick(builder.NextEpochLineCount());
-      if (pick.empty()) {
-        continue;
-      }
-      common::Rng prng(0x5eed + 31 * static_cast<uint64_t>(e + 2) + k);
-      bool any = false;
-      for (size_t i = 0; i < pick.size(); i++) {
-        pick[i] = (prng.Next() & 1) != 0;
-        any = any || pick[i];
-      }
-      if (!any) {
-        pick[0] = true;
-      }
-      if (!builder.MaterializeMidEpoch(pick, &scratch)) {
-        continue;
-      }
-      dev_->RestoreFrom(scratch.data(), scratch.size());
-      check_image(e, k, f);
-    }
-  }
+        const std::string& floor =
+            (fsync_end_fence != 0 && f >= fsync_end_fence) ? synced : base;
+        const oracle::ReadBack log = oracle::Read(fs(), cred, "/log");
+        ASSERT_TRUE(log.present()) << "epoch " << e << " mid#" << p.variant << ": file lost";
+        EXPECT_GE(log.data.size(), floor.size())
+            << "epoch " << e << " mid#" << p.variant << ": durable watermark lost";
+        EXPECT_LE(log.data.size(), full.size())
+            << "epoch " << e << " mid#" << p.variant << ": size beyond everything written";
+        EXPECT_EQ(log.data.substr(0, floor.size()), floor)
+            << "epoch " << e << " mid#" << p.variant << ": durable prefix torn";
+      });
 }
 
 }  // namespace

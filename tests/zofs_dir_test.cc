@@ -12,6 +12,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -20,26 +21,18 @@ using common::Err;
 class ZofsDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 512ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
     kernfs::FormatOptions f;
     f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+    st_.Format(f, cred);
+    kfs_ = st_.kfs();
+    fs_ = st_.fs();
   }
 
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(512ull << 20);
+  oracle::Stack st_{dev_.get()};
+  kernfs::KernFs* kfs_ = nullptr;  // st_'s, for the whole test
+  fslib::FsLib* fs_ = nullptr;
 };
 
 // Crafts `n` names that all land in the same L1 slot and the same L2 bucket
@@ -136,13 +129,7 @@ TEST_F(ZofsDirTest, SimilarNamesHashApart) {
     fs_->Close(*fd);
   }
   for (const auto& n : names) {
-    auto fd = fs_->Open(cred, "/d/" + n, vfs::kRead, 0);
-    ASSERT_TRUE(fd.ok()) << n;
-    char buf[16] = {};
-    auto r = fs_->Read(*fd, buf, sizeof(buf));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(std::string(buf, *r), n) << "content aliased for " << n;
-    fs_->Close(*fd);
+    EXPECT_EQ(oracle::Read(fs_, cred, "/d/" + n).data, n) << "content aliased for " << n;
   }
 }
 

@@ -8,10 +8,8 @@
 #include <memory>
 
 #include "src/common/rand.h"
-#include "src/fslib/fslib.h"
-#include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
-#include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -20,32 +18,31 @@ using common::Err;
 class ZofsFeatureTest : public ::testing::Test {
  protected:
   void Boot(zofs::Options zopts, bool crash_tracking = false) {
-    fs_.reset();
-    kfs_.reset();
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    o.crash_tracking = crash_tracking;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
+    st_.reset();
+    dev_ = oracle::NewDevice(128ull << 20, crash_tracking);
+    st_ = std::make_unique<oracle::Stack>(dev_.get());
     kernfs::FormatOptions f;
     f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0}, zopts);
+    st_->Format(f, cred, zopts);
     if (crash_tracking) {
       dev_->MarkAllPersistent();
     }
   }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+
+  // Power loss, then a remount with the same options and the fsck oracle.
+  void CrashAndReboot(const zofs::Options& zopts) {
+    st_->Crash();
+    st_->Mount(cred, zopts);
+    const oracle::FsckResult r = oracle::Fsck(*st_);
+    ASSERT_TRUE(r.ok()) << r.kind << ": " << r.detail;
   }
+
+  fslib::FsLib* fs() { return st_->fs(); }
+  kernfs::KernFs* kfs() { return st_->kfs(); }
 
   vfs::Cred cred{0, 0};
   std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<oracle::Stack> st_;
 };
 
 // ---------------------------------------------------------------------------
@@ -55,26 +52,26 @@ TEST_F(ZofsFeatureTest, InlineSmallFileUsesNoDataPages) {
   zofs::Options z;
   z.inline_data = true;
   Boot(z);
-  uint64_t free_before = kfs_->FreePages();
+  uint64_t free_before = kfs()->FreePages();
 
-  auto fd = fs_->Open(cred, "/tiny", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/tiny", vfs::kCreate | vfs::kRdWr, 0644);
   ASSERT_TRUE(fd.ok());
   std::string msg = "fits in the inode page";
-  ASSERT_TRUE(fs_->Write(*fd, msg.data(), msg.size()).ok());
+  ASSERT_TRUE(fs()->Write(*fd, msg.data(), msg.size()).ok());
 
   char buf[64] = {};
-  auto r = fs_->Pread(*fd, buf, sizeof(buf), 0);
+  auto r = fs()->Pread(*fd, buf, sizeof(buf), 0);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(std::string(buf, *r), msg);
 
   // The inode itself came from the coffer's pre-granted pool; no data block
   // was consumed beyond what was already enlarged. Verify via the inode.
-  fs_->BindThread();
-  auto node = fs_->zofs().Lookup("/tiny", true);
+  fs()->BindThread();
+  auto node = fs()->zofs().Lookup("/tiny", true);
   ASSERT_TRUE(node.ok());
-  auto info = fs_->zofs().EnsureMappedForTest(node->coffer_id, false);
+  auto info = fs()->zofs().EnsureMappedForTest(node->coffer_id, false);
   mpk::AccessWindow w(info->key, false);
-  const zofs::Inode* ino = fs_->zofs().InodeForTest(*node);
+  const zofs::Inode* ino = fs()->zofs().InodeForTest(*node);
   EXPECT_TRUE(ino->iflags & zofs::kInodeInlineData);
   EXPECT_EQ(ino->direct[0], 0u);
   (void)free_before;
@@ -84,26 +81,26 @@ TEST_F(ZofsFeatureTest, InlineFileSpillsWhenGrowing) {
   zofs::Options z;
   z.inline_data = true;
   Boot(z);
-  auto fd = fs_->Open(cred, "/grow", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/grow", vfs::kCreate | vfs::kRdWr, 0644);
   std::string small(1000, 'a');
-  ASSERT_TRUE(fs_->Pwrite(*fd, small.data(), small.size(), 0).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, small.data(), small.size(), 0).ok());
 
   // Grow past the inline capacity: the data must spill and stay readable.
   std::string big(3 * 4096, 'b');
-  ASSERT_TRUE(fs_->Pwrite(*fd, big.data(), big.size(), 1000).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, big.data(), big.size(), 1000).ok());
 
   std::string all(1000 + big.size(), 0);
-  auto r = fs_->Pread(*fd, all.data(), all.size(), 0);
+  auto r = fs()->Pread(*fd, all.data(), all.size(), 0);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, all.size());
   EXPECT_EQ(all.substr(0, 1000), small);
   EXPECT_EQ(all.substr(1000), big);
 
-  fs_->BindThread();
-  auto node = fs_->zofs().Lookup("/grow", true);
-  auto info = fs_->zofs().EnsureMappedForTest(node->coffer_id, false);
+  fs()->BindThread();
+  auto node = fs()->zofs().Lookup("/grow", true);
+  auto info = fs()->zofs().EnsureMappedForTest(node->coffer_id, false);
   mpk::AccessWindow w(info->key, false);
-  const zofs::Inode* ino = fs_->zofs().InodeForTest(*node);
+  const zofs::Inode* ino = fs()->zofs().InodeForTest(*node);
   EXPECT_FALSE(ino->iflags & zofs::kInodeInlineData);
   EXPECT_NE(ino->direct[0], 0u);
 }
@@ -112,11 +109,11 @@ TEST_F(ZofsFeatureTest, InlineHolesReadZero) {
   zofs::Options z;
   z.inline_data = true;
   Boot(z);
-  auto fd = fs_->Open(cred, "/hole", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/hole", vfs::kCreate | vfs::kRdWr, 0644);
   char x = 'x';
-  ASSERT_TRUE(fs_->Pwrite(*fd, &x, 1, 500).ok());  // hole at [0, 500)
+  ASSERT_TRUE(fs()->Pwrite(*fd, &x, 1, 500).ok());  // hole at [0, 500)
   char buf[500];
-  auto r = fs_->Pread(*fd, buf, sizeof(buf), 0);
+  auto r = fs()->Pread(*fd, buf, sizeof(buf), 0);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(*r, sizeof(buf));
   for (char c : buf) {
@@ -128,15 +125,15 @@ TEST_F(ZofsFeatureTest, InlineTruncateShrinkAndRegrow) {
   zofs::Options z;
   z.inline_data = true;
   Boot(z);
-  auto fd = fs_->Open(cred, "/t", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/t", vfs::kCreate | vfs::kRdWr, 0644);
   std::string data(2000, 'q');
-  ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), 0).ok());
-  ASSERT_TRUE(fs_->Ftruncate(*fd, 700).ok());
-  auto st = fs_->Fstat(*fd);
+  ASSERT_TRUE(fs()->Pwrite(*fd, data.data(), data.size(), 0).ok());
+  ASSERT_TRUE(fs()->Ftruncate(*fd, 700).ok());
+  auto st = fs()->Fstat(*fd);
   EXPECT_EQ(st->size, 700u);
-  ASSERT_TRUE(fs_->Ftruncate(*fd, 2000).ok());
+  ASSERT_TRUE(fs()->Ftruncate(*fd, 2000).ok());
   char buf[16];
-  auto r = fs_->Pread(*fd, buf, sizeof(buf), 1000);
+  auto r = fs()->Pread(*fd, buf, sizeof(buf), 1000);
   ASSERT_TRUE(r.ok());
   for (char c : buf) {
     EXPECT_EQ(c, 0);
@@ -147,15 +144,15 @@ TEST_F(ZofsFeatureTest, InlineTruncateBeyondCapacitySpills) {
   zofs::Options z;
   z.inline_data = true;
   Boot(z);
-  auto fd = fs_->Open(cred, "/sp", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/sp", vfs::kCreate | vfs::kRdWr, 0644);
   std::string data(1500, 'z');
-  ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), 0).ok());
-  ASSERT_TRUE(fs_->Ftruncate(*fd, 64 * 1024).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, data.data(), data.size(), 0).ok());
+  ASSERT_TRUE(fs()->Ftruncate(*fd, 64 * 1024).ok());
   std::string back(1500, 0);
-  auto r = fs_->Pread(*fd, back.data(), back.size(), 0);
+  auto r = fs()->Pread(*fd, back.data(), back.size(), 0);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(back, data);
-  auto st = fs_->Fstat(*fd);
+  auto st = fs()->Fstat(*fd);
   EXPECT_EQ(st->size, 64u * 1024);
 }
 
@@ -163,23 +160,13 @@ TEST_F(ZofsFeatureTest, InlineFileSurvivesCrash) {
   zofs::Options z;
   z.inline_data = true;
   Boot(z, /*crash_tracking=*/true);
-  auto fd = fs_->Open(cred, "/c", vfs::kCreate | vfs::kWrite, 0644);
+  auto fd = fs()->Open(cred, "/c", vfs::kCreate | vfs::kWrite, 0644);
   std::string msg = "inline and durable";
-  ASSERT_TRUE(fs_->Write(*fd, msg.data(), msg.size()).ok());
+  ASSERT_TRUE(fs()->Write(*fd, msg.data(), msg.size()).ok());
 
-  dev_->SimulateCrash();
-  fs_.reset();
-  kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-  kfs_->set_kernel_crossing_ns(0);
-  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), cred, z);
-  ASSERT_TRUE(fs_->zofs().RecoverAll().ok());
+  CrashAndReboot(z);
 
-  auto fd2 = fs_->Open(cred, "/c", vfs::kRead, 0);
-  ASSERT_TRUE(fd2.ok());
-  char buf[64] = {};
-  auto r = fs_->Read(*fd2, buf, sizeof(buf));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(std::string(buf, *r), msg);
+  EXPECT_EQ(oracle::Read(fs(), cred, "/c").data, msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,13 +176,13 @@ TEST_F(ZofsFeatureTest, AtomicOverwriteReadsBack) {
   zofs::Options z;
   z.atomic_data = true;
   Boot(z);
-  auto fd = fs_->Open(cred, "/a", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/a", vfs::kCreate | vfs::kRdWr, 0644);
   std::string v1(3 * 4096, '1');
-  ASSERT_TRUE(fs_->Pwrite(*fd, v1.data(), v1.size(), 0).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, v1.data(), v1.size(), 0).ok());
   std::string v2(3 * 4096, '2');
-  ASSERT_TRUE(fs_->Pwrite(*fd, v2.data(), v2.size(), 0).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, v2.data(), v2.size(), 0).ok());
   std::string back(v2.size(), 0);
-  auto r = fs_->Pread(*fd, back.data(), back.size(), 0);
+  auto r = fs()->Pread(*fd, back.data(), back.size(), 0);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(back, v2);
 }
@@ -204,13 +191,13 @@ TEST_F(ZofsFeatureTest, AtomicPartialOverwriteMergesOldBytes) {
   zofs::Options z;
   z.atomic_data = true;
   Boot(z);
-  auto fd = fs_->Open(cred, "/m", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/m", vfs::kCreate | vfs::kRdWr, 0644);
   std::string base(4096, 'o');
-  ASSERT_TRUE(fs_->Pwrite(*fd, base.data(), base.size(), 0).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, base.data(), base.size(), 0).ok());
   std::string patch(100, 'N');
-  ASSERT_TRUE(fs_->Pwrite(*fd, patch.data(), patch.size(), 1000).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, patch.data(), patch.size(), 1000).ok());
   std::string back(4096, 0);
-  ASSERT_TRUE(fs_->Pread(*fd, back.data(), back.size(), 0).ok());
+  ASSERT_TRUE(fs()->Pread(*fd, back.data(), back.size(), 0).ok());
   EXPECT_EQ(back.substr(0, 1000), base.substr(0, 1000));
   EXPECT_EQ(back.substr(1000, 100), patch);
   EXPECT_EQ(back.substr(1100), base.substr(1100));
@@ -222,26 +209,17 @@ TEST_F(ZofsFeatureTest, AtomicOverwriteCrashLeavesOldOrNewPerBlock) {
   zofs::Options z;
   z.atomic_data = true;
   Boot(z, /*crash_tracking=*/true);
-  auto fd = fs_->Open(cred, "/blk", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/blk", vfs::kCreate | vfs::kRdWr, 0644);
   std::string old_data(4096, 'O');
-  ASSERT_TRUE(fs_->Pwrite(*fd, old_data.data(), old_data.size(), 0).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, old_data.data(), old_data.size(), 0).ok());
   dev_->MarkAllPersistent();
 
   std::string new_data(4096, 'W');
-  ASSERT_TRUE(fs_->Pwrite(*fd, new_data.data(), new_data.size(), 0).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, new_data.data(), new_data.size(), 0).ok());
   // Crash: everything unfenced rolls back. The overwrite completed, so new
   // data must be durable...
-  dev_->SimulateCrash();
-  fs_.reset();
-  kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-  kfs_->set_kernel_crossing_ns(0);
-  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), cred, z);
-  ASSERT_TRUE(fs_->zofs().RecoverAll().ok());
-  auto fd2 = fs_->Open(cred, "/blk", vfs::kRead, 0);
-  ASSERT_TRUE(fd2.ok());
-  std::string back(4096, 0);
-  auto r = fs_->Read(*fd2, back.data(), back.size());
-  ASSERT_TRUE(r.ok());
+  CrashAndReboot(z);
+  const std::string back = oracle::Read(fs(), cred, "/blk").data;
   bool all_old = back == old_data;
   bool all_new = back == new_data;
   EXPECT_TRUE(all_old || all_new) << "block torn across old/new data";
@@ -252,22 +230,22 @@ TEST_F(ZofsFeatureTest, AtomicModeRecyclesOldPages) {
   zofs::Options z;
   z.atomic_data = true;
   Boot(z);
-  auto fd = fs_->Open(cred, "/recycle", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/recycle", vfs::kCreate | vfs::kRdWr, 0644);
   std::string data(4096, 'd');
-  ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), 0).ok());
+  ASSERT_TRUE(fs()->Pwrite(*fd, data.data(), data.size(), 0).ok());
   // Many overwrites must not grow the coffer unboundedly: old pages return
   // to the allocator free lists.
-  fs_->BindThread();
-  auto node = fs_->zofs().Lookup("/recycle", true);
-  auto pages_before = kfs_->PagesOf(node->coffer_id);
+  fs()->BindThread();
+  auto node = fs()->zofs().Lookup("/recycle", true);
+  auto pages_before = kfs()->PagesOf(node->coffer_id);
   uint64_t total_before = 0;
   for (const auto& run : *pages_before) {
     total_before += run.len;
   }
   for (int i = 0; i < 500; i++) {
-    ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), 0).ok());
+    ASSERT_TRUE(fs()->Pwrite(*fd, data.data(), data.size(), 0).ok());
   }
-  auto pages_after = kfs_->PagesOf(node->coffer_id);
+  auto pages_after = kfs()->PagesOf(node->coffer_id);
   uint64_t total_after = 0;
   for (const auto& run : *pages_after) {
     total_after += run.len;
@@ -282,7 +260,7 @@ TEST_F(ZofsFeatureTest, FeaturesComposeWithRandomWorkload) {
   z.atomic_data = true;
   Boot(z);
   common::Rng rng(77);
-  auto fd = fs_->Open(cred, "/combo", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/combo", vfs::kCreate | vfs::kRdWr, 0644);
   std::vector<uint8_t> model(64 * 1024, 0);
   uint64_t hi = 0;
   for (int i = 0; i < 300; i++) {
@@ -290,12 +268,12 @@ TEST_F(ZofsFeatureTest, FeaturesComposeWithRandomWorkload) {
     uint64_t len = 1 + rng.Below(std::min<uint64_t>(model.size() - off, 6000));
     std::vector<uint8_t> chunk(len);
     rng.Fill(chunk.data(), len);
-    ASSERT_TRUE(fs_->Pwrite(*fd, chunk.data(), len, off).ok()) << i;
+    ASSERT_TRUE(fs()->Pwrite(*fd, chunk.data(), len, off).ok()) << i;
     memcpy(model.data() + off, chunk.data(), len);
     hi = std::max(hi, off + len);
   }
   std::vector<uint8_t> back(hi, 0);
-  auto r = fs_->Pread(*fd, back.data(), hi, 0);
+  auto r = fs()->Pread(*fd, back.data(), hi, 0);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(*r, hi);
   EXPECT_EQ(memcmp(back.data(), model.data(), hi), 0);

@@ -11,6 +11,7 @@
 #include "src/mpk/keyclass.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -18,31 +19,25 @@ using common::Err;
 
 class ProtectionTest : public ::testing::Test {
  protected:
+  // Each test mounts its own processes on kfs_.
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
     kernfs::FormatOptions f;
     f.root_mode = 0777;
     f.root_uid = 1000;
     f.root_gid = 1000;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-  }
-  void TearDown() override {
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+    st_.Format(f, vfs::Cred{1000, 1000});
+    kfs_ = st_.kfs();
   }
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
+  std::unique_ptr<nvm::NvmDevice> dev_ = oracle::NewDevice(128ull << 20);
+  oracle::Stack st_{dev_.get()};
+  kernfs::KernFs* kfs_ = nullptr;  // st_'s, for the whole test
 };
 
 TEST_F(ProtectionTest, StrayWritesNeverLand) {
   // §6.5 test 1: application code with closed windows cannot modify any
   // coffer page, ever.
-  fslib::FsLib p1(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib p1(kfs_, vfs::Cred{1000, 1000});
   auto fd = p1.Open(vfs::Cred{1000, 1000}, "/file", vfs::kCreate | vfs::kWrite, 0666);
   ASSERT_TRUE(fd.ok());
   std::vector<uint8_t> payload(4096, 0xee);
@@ -63,7 +58,7 @@ TEST_F(ProtectionTest, StrayWritesNeverLand) {
 
 TEST_F(ProtectionTest, CorruptionYieldsGracefulErrorNotCrash) {
   // §3.4.2: corrupted metadata leads to an error return, not termination.
-  fslib::FsLib p(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib p(kfs_, vfs::Cred{1000, 1000});
   vfs::Cred c{1000, 1000};
   auto fd = p.Open(c, "/victim", vfs::kCreate | vfs::kRdWr, 0666);
   ASSERT_TRUE(fd.ok());
@@ -87,8 +82,8 @@ TEST_F(ProtectionTest, CorruptionYieldsGracefulErrorNotCrash) {
 TEST_F(ProtectionTest, ManipulatedCrossCofferReferenceRejected) {
   // §3.4.3 / §6.5 test 2: a dentry in shared coffer C1 redirected at C2 must
   // fail G3 validation in the victim.
-  fslib::FsLib attacker(kfs_.get(), vfs::Cred{1000, 1000});
-  fslib::FsLib victim(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib attacker(kfs_, vfs::Cred{1000, 1000});
+  fslib::FsLib victim(kfs_, vfs::Cred{1000, 1000});
   vfs::Cred c{1000, 1000};
 
   auto secret = attacker.Open(c, "/c2secret", vfs::kCreate | vfs::kWrite, 0600);
@@ -134,13 +129,13 @@ TEST_F(ProtectionTest, ManipulatedCrossCofferReferenceRejected) {
 TEST_F(ProtectionTest, ReadOnlyMappingBlocksWrites) {
   // A user with read-only permission gets a read-only coffer mapping; write
   // attempts through the FS API are refused at map upgrade.
-  fslib::FsLib owner(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib owner(kfs_, vfs::Cred{1000, 1000});
   vfs::Cred oc{1000, 1000};
   auto fd = owner.Open(oc, "/shared_ro", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(owner.Write(*fd, "readonly", 8).ok());
 
-  fslib::FsLib reader(kfs_.get(), vfs::Cred{2000, 1000});
+  fslib::FsLib reader(kfs_, vfs::Cred{2000, 1000});
   vfs::Cred rc{2000, 1000};
   auto rfd = reader.Open(rc, "/shared_ro", vfs::kRead, 0);
   ASSERT_TRUE(rfd.ok()) << common::ErrName(rfd.error());
@@ -157,7 +152,7 @@ TEST_F(ProtectionTest, ReadOnlyMappingBlocksWrites) {
 TEST_F(ProtectionTest, MpkBudgetEvictionKeepsWorking) {
   // More permission groups than MPK keys: FSLibs must evict mappings and
   // keep operating (paper §3.4.2: "the µFS should call coffer_unmap").
-  fslib::FsLib p(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib p(kfs_, vfs::Cred{1000, 1000});
   vfs::Cred c{1000, 1000};
   // 30 distinct permission groups => 30 coffers, against 15 keys.
   for (int i = 0; i < 30; i++) {
@@ -183,7 +178,7 @@ TEST_F(ProtectionTest, KeyWindowEvictAndFaultBackRoundTrip) {
   // session caches survive) and faults them back in on next access. The
   // round trip must be invisible to the data path: every file reads back
   // byte-exact after its class was evicted and re-keyed.
-  fslib::FsLib p(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib p(kfs_, vfs::Cred{1000, 1000});
   vfs::Cred c{1000, 1000};
   const uint64_t ev0 = mpk::KeyEvictionCount();
   const uint64_t rt0 = mpk::KeyRetagPageCount();
@@ -218,11 +213,11 @@ TEST_F(ProtectionTest, KeyWindowEvictAndFaultBackRoundTrip) {
 TEST_F(ProtectionTest, SetuidStyleCredChangeRevokesAccess) {
   // After a process's credentials change, a previously mapped private coffer
   // can no longer be (re)mapped by a fresh process with the new identity.
-  fslib::FsLib p(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib p(kfs_, vfs::Cred{1000, 1000});
   vfs::Cred c{1000, 1000};
   ASSERT_TRUE(p.Open(c, "/mine", vfs::kCreate | vfs::kWrite, 0600).ok());
 
-  fslib::FsLib other(kfs_.get(), vfs::Cred{7777, 7777});
+  fslib::FsLib other(kfs_, vfs::Cred{7777, 7777});
   auto denied = other.Open(vfs::Cred{7777, 7777}, "/mine", vfs::kRead, 0);
   EXPECT_EQ(denied.error(), Err::kAcces);
 }

@@ -6,10 +6,7 @@
 
 #include <memory>
 
-#include "src/fslib/fslib.h"
-#include "src/kernfs/kernfs.h"
-#include "src/mpk/mpk.h"
-#include "src/nvm/nvm.h"
+#include "src/oracle/oracle.h"
 
 namespace {
 
@@ -17,246 +14,213 @@ using common::Err;
 
 class ZofsSplitTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 256ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
+  void SetUp() override { Boot(256ull << 20, /*crash_tracking=*/false); }
+
+  // A fresh device, formatted with a root directory uid/gid 1000 owns.
+  void Boot(size_t bytes, bool crash_tracking) {
+    st_.reset();
+    dev_ = oracle::NewDevice(bytes, crash_tracking);
+    st_ = std::make_unique<oracle::Stack>(dev_.get());
     kernfs::FormatOptions f;
     f.root_mode = 0755;
     f.root_uid = 1000;
     f.root_gid = 1000;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{1000, 1000});
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+    st_->Format(f, cred);
   }
 
-  size_t CofferCount() { return kfs_->AllCofferIds().size(); }
+  size_t CofferCount() { return kfs()->AllCofferIds().size(); }
+  fslib::FsLib* fs() { return st_->fs(); }
+  kernfs::KernFs* kfs() { return st_->kfs(); }
 
   vfs::Cred cred{1000, 1000};
   std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::unique_ptr<oracle::Stack> st_;
 };
 
 TEST_F(ZofsSplitTest, ChmodDirectorySplitsWholeSubtree) {
-  ASSERT_TRUE(fs_->Mkdir(cred, "/proj", 0755).ok());
-  ASSERT_TRUE(fs_->Mkdir(cred, "/proj/sub", 0755).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/proj", 0755).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/proj/sub", 0755).ok());
   std::string payload(20000, 'p');
   for (const char* p : {"/proj/a", "/proj/sub/b"}) {
-    auto fd = fs_->Open(cred, p, vfs::kCreate | vfs::kWrite, 0644);
+    auto fd = fs()->Open(cred, p, vfs::kCreate | vfs::kWrite, 0644);
     ASSERT_TRUE(fd.ok());
-    ASSERT_TRUE(fs_->Write(*fd, payload.data(), payload.size()).ok());
-    ASSERT_TRUE(fs_->Close(*fd).ok());
+    ASSERT_TRUE(fs()->Write(*fd, payload.data(), payload.size()).ok());
+    ASSERT_TRUE(fs()->Close(*fd).ok());
   }
   size_t before = CofferCount();
 
   // chmod the directory to a new permission group: the whole same-coffer
   // subtree moves into a new coffer.
-  ASSERT_TRUE(fs_->Chmod(cred, "/proj", 0700).ok());
+  ASSERT_TRUE(fs()->Chmod(cred, "/proj", 0700).ok());
   EXPECT_EQ(CofferCount(), before + 1);
 
   // Everything underneath is still reachable with intact data.
   for (const char* p : {"/proj/a", "/proj/sub/b"}) {
-    auto fd = fs_->Open(cred, p, vfs::kRead, 0);
-    ASSERT_TRUE(fd.ok()) << p;
-    std::string buf(payload.size(), 0);
-    auto r = fs_->Read(*fd, buf.data(), buf.size());
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(buf, payload) << p;
+    EXPECT_EQ(oracle::Read(fs(), cred, p).data, payload) << p;
   }
-  auto st = fs_->Stat(cred, "/proj");
+  auto st = fs()->Stat(cred, "/proj");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->mode, 0700);
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+  EXPECT_TRUE(kfs()->CheckAllocTableForTest().empty()) << kfs()->CheckAllocTableForTest();
 
   // The split dir's coffer path is registered in the kernel path map.
-  EXPECT_TRUE(kfs_->CofferFind("/proj").ok());
+  EXPECT_TRUE(kfs()->CofferFind("/proj").ok());
 }
 
 TEST_F(ZofsSplitTest, ChmodDirectoryKeepsCrossCofferChildrenIntact) {
-  ASSERT_TRUE(fs_->Mkdir(cred, "/mix", 0755).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/mix", 0755).ok());
   // A same-group file and a private (own-coffer) file inside.
-  ASSERT_TRUE(fs_->Open(cred, "/mix/shared", vfs::kCreate | vfs::kWrite, 0644).ok());
-  auto secret = fs_->Open(cred, "/mix/secret", vfs::kCreate | vfs::kWrite, 0600);
+  ASSERT_TRUE(fs()->Open(cred, "/mix/shared", vfs::kCreate | vfs::kWrite, 0644).ok());
+  auto secret = fs()->Open(cred, "/mix/secret", vfs::kCreate | vfs::kWrite, 0600);
   ASSERT_TRUE(secret.ok());
-  ASSERT_TRUE(fs_->Write(*secret, "sec", 3).ok());
+  ASSERT_TRUE(fs()->Write(*secret, "sec", 3).ok());
   size_t before = CofferCount();  // root + secret's coffer
 
-  ASSERT_TRUE(fs_->Chmod(cred, "/mix", 0710).ok());  // 0710 & 0666 = 0600... wait
+  ASSERT_TRUE(fs()->Chmod(cred, "/mix", 0710).ok());  // 0710 & 0666 = 0600... wait
   // 0710's effective group is 0600/uid1000 which matches /mix/secret's
   // group; regardless, the directory must split away from the root coffer.
   EXPECT_GE(CofferCount(), before);
 
   // Both children resolve and read correctly after the split.
-  EXPECT_TRUE(fs_->Stat(cred, "/mix/shared").ok());
-  auto st = fs_->Stat(cred, "/mix/secret");
+  EXPECT_TRUE(fs()->Stat(cred, "/mix/shared").ok());
+  auto st = fs()->Stat(cred, "/mix/secret");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, 3u);
-  char buf[4] = {};
-  auto fd = fs_->Open(cred, "/mix/secret", vfs::kRead, 0);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(fs_->Read(*fd, buf, 3).ok());
-  EXPECT_EQ(std::string(buf, 3), "sec");
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
+  EXPECT_EQ(oracle::Read(fs(), cred, "/mix/secret").data, "sec");
+  EXPECT_TRUE(kfs()->CheckAllocTableForTest().empty());
 }
 
 TEST_F(ZofsSplitTest, RenameIntoDifferentGroupDirectory) {
   // /open (0755 group) and /closed (0700 group => own coffer).
-  ASSERT_TRUE(fs_->Mkdir(cred, "/open", 0755).ok());
-  ASSERT_TRUE(fs_->Mkdir(cred, "/closed", 0700).ok());
-  auto fd = fs_->Open(cred, "/open/file", vfs::kCreate | vfs::kWrite, 0644);
+  ASSERT_TRUE(fs()->Mkdir(cred, "/open", 0755).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/closed", 0700).ok());
+  auto fd = fs()->Open(cred, "/open/file", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
   std::string data(9000, 'm');
-  ASSERT_TRUE(fs_->Write(*fd, data.data(), data.size()).ok());
-  ASSERT_TRUE(fs_->Close(*fd).ok());
+  ASSERT_TRUE(fs()->Write(*fd, data.data(), data.size()).ok());
+  ASSERT_TRUE(fs()->Close(*fd).ok());
 
   // The file keeps its 0644 permission, so inside /closed's coffer it must
   // become its own coffer (split), referenced cross-coffer.
   size_t before = CofferCount();
-  ASSERT_TRUE(fs_->Rename(cred, "/open/file", "/closed/file").ok());
+  ASSERT_TRUE(fs()->Rename(cred, "/open/file", "/closed/file").ok());
   EXPECT_EQ(CofferCount(), before + 1);
 
-  auto st = fs_->Stat(cred, "/closed/file");
+  auto st = fs()->Stat(cred, "/closed/file");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, data.size());
   EXPECT_EQ(st->mode, 0644);
-  auto rfd = fs_->Open(cred, "/closed/file", vfs::kRead, 0);
-  ASSERT_TRUE(rfd.ok());
-  std::string buf(data.size(), 0);
-  ASSERT_TRUE(fs_->Read(*rfd, buf.data(), buf.size()).ok());
-  EXPECT_EQ(buf, data);
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
+  EXPECT_EQ(oracle::Read(fs(), cred, "/closed/file").data, data);
+  EXPECT_TRUE(kfs()->CheckAllocTableForTest().empty());
 }
 
 TEST_F(ZofsSplitTest, RenameMatchingGroupMovesPagesBetweenCoffers) {
-  ASSERT_TRUE(fs_->Mkdir(cred, "/g1", 0700).ok());
-  ASSERT_TRUE(fs_->Mkdir(cred, "/g2", 0700).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/g1", 0700).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/g2", 0700).ok());
   // g1 and g2 are separate coffers sharing one permission group... only if
   // created under different parents; here both split from root, so each is
   // its own coffer with group 0600/1000.
-  auto g1 = kfs_->CofferFind("/g1");
-  auto g2 = kfs_->CofferFind("/g2");
+  auto g1 = kfs()->CofferFind("/g1");
+  auto g2 = kfs()->CofferFind("/g2");
   ASSERT_TRUE(g1.ok());
   ASSERT_TRUE(g2.ok());
   ASSERT_NE(*g1, *g2);
 
-  auto fd = fs_->Open(cred, "/g1/f", vfs::kCreate | vfs::kWrite, 0600);
+  auto fd = fs()->Open(cred, "/g1/f", vfs::kCreate | vfs::kWrite, 0600);
   ASSERT_TRUE(fd.ok());
   std::string data(30000, 'v');
-  ASSERT_TRUE(fs_->Write(*fd, data.data(), data.size()).ok());
-  ASSERT_TRUE(fs_->Close(*fd).ok());
+  ASSERT_TRUE(fs()->Write(*fd, data.data(), data.size()).ok());
+  ASSERT_TRUE(fs()->Close(*fd).ok());
 
   size_t before = CofferCount();
-  ASSERT_TRUE(fs_->Rename(cred, "/g1/f", "/g2/f").ok());
+  ASSERT_TRUE(fs()->Rename(cred, "/g1/f", "/g2/f").ok());
   // Same permission group as the destination coffer: pages move, no new
   // coffer appears.
   EXPECT_EQ(CofferCount(), before);
 
-  auto st = fs_->Stat(cred, "/g2/f");
+  auto st = fs()->Stat(cred, "/g2/f");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, data.size());
-  auto rfd = fs_->Open(cred, "/g2/f", vfs::kRead, 0);
-  std::string buf(data.size(), 0);
-  ASSERT_TRUE(fs_->Read(*rfd, buf.data(), buf.size()).ok());
-  EXPECT_EQ(buf, data);
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
+  EXPECT_EQ(oracle::Read(fs(), cred, "/g2/f").data, data);
+  EXPECT_TRUE(kfs()->CheckAllocTableForTest().empty());
 }
 
 TEST_F(ZofsSplitTest, RenameCofferRootedDirectoryUpdatesDescendantPaths) {
-  ASSERT_TRUE(fs_->Mkdir(cred, "/team", 0700).ok());          // own coffer
-  ASSERT_TRUE(fs_->Mkdir(cred, "/team/inner", 0644).ok());    // nested own coffer
-  ASSERT_TRUE(fs_->Open(cred, "/team/inner/f", vfs::kCreate | vfs::kWrite, 0644).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/team", 0700).ok());          // own coffer
+  ASSERT_TRUE(fs()->Mkdir(cred, "/team/inner", 0644).ok());    // nested own coffer
+  ASSERT_TRUE(fs()->Open(cred, "/team/inner/f", vfs::kCreate | vfs::kWrite, 0644).ok());
 
-  ASSERT_TRUE(fs_->Rename(cred, "/team", "/squad").ok());
-  EXPECT_TRUE(fs_->Stat(cred, "/squad/inner/f").ok());
-  EXPECT_EQ(fs_->Stat(cred, "/team").error(), Err::kNoEnt);
+  ASSERT_TRUE(fs()->Rename(cred, "/team", "/squad").ok());
+  EXPECT_TRUE(fs()->Stat(cred, "/squad/inner/f").ok());
+  EXPECT_EQ(fs()->Stat(cred, "/team").error(), Err::kNoEnt);
   // Kernel path map moved with them (G3 validation depends on this).
-  EXPECT_TRUE(kfs_->CofferFind("/squad").ok());
-  EXPECT_TRUE(kfs_->CofferFind("/squad/inner").ok());
-  EXPECT_FALSE(kfs_->CofferFind("/team").ok());
+  EXPECT_TRUE(kfs()->CofferFind("/squad").ok());
+  EXPECT_TRUE(kfs()->CofferFind("/squad/inner").ok());
+  EXPECT_FALSE(kfs()->CofferFind("/team").ok());
   // And the cross-coffer reference still validates (a lookup succeeds).
-  auto fd = fs_->Open(cred, "/squad/inner/f", vfs::kRead, 0);
+  auto fd = fs()->Open(cred, "/squad/inner/f", vfs::kRead, 0);
   EXPECT_TRUE(fd.ok());
 }
 
 TEST_F(ZofsSplitTest, SplitFileRemainsWritableAndGrowable) {
-  auto fd = fs_->Open(cred, "/w", vfs::kCreate | vfs::kRdWr, 0644);
+  auto fd = fs()->Open(cred, "/w", vfs::kCreate | vfs::kRdWr, 0644);
   ASSERT_TRUE(fd.ok());
   std::string data(5000, '1');
-  ASSERT_TRUE(fs_->Write(*fd, data.data(), data.size()).ok());
-  ASSERT_TRUE(fs_->Chmod(cred, "/w", 0600).ok());  // split
+  ASSERT_TRUE(fs()->Write(*fd, data.data(), data.size()).ok());
+  ASSERT_TRUE(fs()->Chmod(cred, "/w", 0600).ok());  // split
 
   // The healed FD keeps working; growth allocates from the NEW coffer.
   std::string more(50000, '2');
-  ASSERT_TRUE(fs_->Pwrite(*fd, more.data(), more.size(), data.size()).ok());
-  auto st = fs_->Fstat(*fd);
+  ASSERT_TRUE(fs()->Pwrite(*fd, more.data(), more.size(), data.size()).ok());
+  auto st = fs()->Fstat(*fd);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, data.size() + more.size());
 
-  auto cid = kfs_->CofferFind("/w");
+  auto cid = kfs()->CofferFind("/w");
   ASSERT_TRUE(cid.ok());
-  EXPECT_GT(kfs_->RootPageOf(*cid)->num_pages, 13u);  // grew beyond the split set
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
+  EXPECT_GT(kfs()->RootPageOf(*cid)->num_pages, 13u);  // grew beyond the split set
+  EXPECT_TRUE(kfs()->CheckAllocTableForTest().empty());
 }
 
 TEST_F(ZofsSplitTest, ChownToNewOwnerSplits) {
   // Run as root so chown is permitted.
-  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
   vfs::Cred root{0, 0};
-  auto fd = fs_->Open(root, "/owned", vfs::kCreate | vfs::kWrite, 0644);
+  fslib::FsLib root_fs(kfs(), root);
+  auto fd = root_fs.Open(root, "/owned", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(fs_->Write(*fd, "data", 4).ok());
+  ASSERT_TRUE(root_fs.Write(*fd, "data", 4).ok());
   size_t before = CofferCount();
-  ASSERT_TRUE(fs_->Chown(root, "/owned", 1000, 1000).ok());
+  ASSERT_TRUE(root_fs.Chown(root, "/owned", 1000, 1000).ok());
   // /owned was in the root coffer (uid 1000's group? no: fixture root coffer
   // is uid 1000 but the file was created by root with uid 0 => it was already
   // its own coffer). Either way ownership must now read back as 1000.
-  auto st = fs_->Stat(root, "/owned");
+  auto st = root_fs.Stat(root, "/owned");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->uid, 1000u);
   EXPECT_EQ(st->gid, 1000u);
   EXPECT_GE(CofferCount(), before);
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
+  EXPECT_TRUE(kfs()->CheckAllocTableForTest().empty());
 }
 
 TEST_F(ZofsSplitTest, NewCofferRootsAgreeAcrossCreatePathsAndSurviveCrash) {
   // Placement (paper §5): a node outside its parent coffer's permission group
   // roots a new coffer. O_EXCL create, open-create and mkdir must format that
   // root inode alike, and durably.
-  fs_.reset();
-  kfs_.reset();
-  nvm::Options o;
-  o.size_bytes = 64ull << 20;
-  o.crash_tracking = true;
-  dev_ = std::make_unique<nvm::NvmDevice>(o);
-  mpk::InstallDeviceHook(dev_.get());
-  kernfs::FormatOptions f;
-  f.root_mode = 0755;
-  f.root_uid = 1000;
-  f.root_gid = 1000;
-  kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-  kfs_->set_kernel_crossing_ns(0);
-  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), cred);
+  Boot(64ull << 20, /*crash_tracking=*/true);
   dev_->MarkAllPersistent();  // mount state is durable by definition
 
   const size_t before = CofferCount();
-  ASSERT_TRUE(fs_->Open(cred, "/excl", vfs::kCreate | vfs::kExcl | vfs::kWrite, 0600).ok());
-  ASSERT_TRUE(fs_->Open(cred, "/oc", vfs::kCreate | vfs::kWrite, 0600).ok());
-  ASSERT_TRUE(fs_->Mkdir(cred, "/dir", 0700).ok());
+  ASSERT_TRUE(fs()->Open(cred, "/excl", vfs::kCreate | vfs::kExcl | vfs::kWrite, 0600).ok());
+  ASSERT_TRUE(fs()->Open(cred, "/oc", vfs::kCreate | vfs::kWrite, 0600).ok());
+  ASSERT_TRUE(fs()->Mkdir(cred, "/dir", 0700).ok());
   ASSERT_EQ(CofferCount(), before + 3);
 
   auto check = [&]() {
     for (const char* p : {"/excl", "/oc", "/dir"}) {
       SCOPED_TRACE(p);
       const bool is_dir = std::string(p) == "/dir";
-      EXPECT_TRUE(kfs_->CofferFind(p).ok());
-      auto st = fs_->Stat(cred, p);
+      EXPECT_TRUE(kfs()->CofferFind(p).ok());
+      auto st = fs()->Stat(cred, p);
       ASSERT_TRUE(st.ok());
       EXPECT_EQ(st->type, is_dir ? vfs::FileType::kDirectory : vfs::FileType::kRegular);
       EXPECT_EQ(st->mode, is_dir ? 0700 : 0600);
@@ -268,14 +232,10 @@ TEST_F(ZofsSplitTest, NewCofferRootsAgreeAcrossCreatePathsAndSurviveCrash) {
   };
   check();
 
-  dev_->SimulateCrash();
-  fs_.reset();
-  kfs_.reset();
-  kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-  kfs_->set_kernel_crossing_ns(0);
-  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), cred);
-  auto stats = fs_->zofs().RecoverAll();
-  ASSERT_TRUE(stats.ok()) << common::ErrName(stats.error());
+  st_->Crash();
+  st_->Mount(cred);
+  const oracle::FsckResult r = oracle::Fsck(*st_);
+  ASSERT_TRUE(r.ok()) << r.kind << ": " << r.detail;
   check();
 }
 

@@ -6,7 +6,7 @@
 # deterministic pmem_audit replay of the Figure-8 workload (DWOL), bounded
 # crash_explore sweeps of seven workloads plus the planted-rename-bug check,
 # the metadata fault-injection campaign (deterministic across thread counts, plus
-# a bounded sanitized run), a TSan build running the threaded scalability
+# a bounded sanitized run and the planted raw-dereference check), a TSan build running the threaded scalability
 # stress, a repeated 2-thread bench_json sweep under true parallelism, and
 # the perfbench self-test. Prints a per-gate summary table and exits nonzero
 # on any finding.
@@ -171,6 +171,21 @@ if ! diff -q "$A" "$B" >/dev/null; then
 fi
 if [ "$FI_OK" -eq 1 ]; then gate "fault-inject" PASS; else gate "fault-inject" FAIL; fi
 
+step "fault_inject: planted raw dereference (--raw-deref) must be caught"
+# The CLI's --raw-deref re-enables the pre-hardening dereference discipline:
+# the campaign must exit nonzero and report at least one crash or escape.
+A=$(mktmp)
+if "$BUILD_DIR"/tools/fault_inject --raw-deref --seed=42 --json > "$A"; then
+  echo "fault_inject: planted raw dereference went undetected (exit 0)" >&2
+  gate "fault-inject-planted" FAIL
+elif ! python3 -c 'import json, sys; t = json.load(open(sys.argv[1]))["totals"]
+sys.exit(0 if t["crashes"] + t["escapes"] >= 1 else 1)' "$A"; then
+  echo "fault_inject: planted raw dereference reported no crash or escape" >&2
+  gate "fault-inject-planted" FAIL
+else
+  gate "fault-inject-planted" PASS
+fi
+
 step "fault_inject under ASan+UBSan (bounded)"
 if "$SAN_DIR"/tools/fault_inject --seed=42 --threads=4 --max-trials=24 --json >/dev/null; then
   gate "fault-inject-san" PASS
@@ -257,7 +272,7 @@ fi
 
 step "summary"
 for i in "${!GATE_NAMES[@]}"; do
-  printf '  %-18s %s\n' "${GATE_NAMES[$i]}" "${GATE_RESULTS[$i]}"
+  printf '  %-20s %s\n' "${GATE_NAMES[$i]}" "${GATE_RESULTS[$i]}"
 done
 
 if [ "$FAIL" -ne 0 ]; then

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/crashmon/crashmon.h"
 
 namespace {
@@ -38,15 +39,6 @@ void Usage(const char* argv0) {
           argv0);
 }
 
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  size_t n = strlen(name);
-  if (strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -56,22 +48,16 @@ int main(int argc, char** argv) {
   bool json = false;
 
   for (int i = 1; i < argc; i++) {
-    std::string v;
-    if (FlagValue(argv[i], "--fs", &v)) {
-      fs_name = v;
-    } else if (FlagValue(argv[i], "--workload", &v)) {
-      wl_name = v;
-    } else if (FlagValue(argv[i], "--ops", &v)) {
-      opts.ops = strtoull(v.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--max-points", &v)) {
-      opts.max_points = strtoull(v.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--mid-epoch", &v)) {
-      opts.mid_epoch_per_fence = static_cast<uint32_t>(strtoul(v.c_str(), nullptr, 10));
-    } else if (FlagValue(argv[i], "--threads", &v)) {
-      opts.threads = atoi(v.c_str());
-    } else if (FlagValue(argv[i], "--seed", &v)) {
-      opts.seed = strtoull(v.c_str(), nullptr, 10);
-    } else if (strcmp(argv[i], "--legacy-rename-overwrite") == 0) {
+    if (common::FlagValue(argv[i], "--fs", &fs_name) ||
+        common::FlagValue(argv[i], "--workload", &wl_name) ||
+        common::UintFlag(argv[i], "--ops", &opts.ops) ||
+        common::UintFlag(argv[i], "--max-points", &opts.max_points) ||
+        common::UintFlag(argv[i], "--mid-epoch", &opts.mid_epoch_per_fence) ||
+        common::UintFlag(argv[i], "--threads", &opts.threads) ||
+        common::UintFlag(argv[i], "--seed", &opts.seed)) {
+      continue;
+    }
+    if (strcmp(argv[i], "--legacy-rename-overwrite") == 0) {
       opts.legacy_rename_overwrite = true;
     } else if (strcmp(argv[i], "--json") == 0) {
       json = true;

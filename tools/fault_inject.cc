@@ -22,6 +22,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/faultinj/faultinj.h"
 
 namespace {
@@ -43,34 +44,23 @@ void Usage(const char* argv0) {
           argv0);
 }
 
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  size_t n = strlen(name);
-  if (strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   faultinj::CampaignOptions opts;
+  uint64_t dev_mb = opts.dev_bytes >> 20;
   bool json = false;
 
   for (int i = 1; i < argc; i++) {
     std::string v;
-    if (FlagValue(argv[i], "--seed", &v)) {
-      opts.seed = strtoull(v.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--flips", &v)) {
-      opts.flips_per_struct = static_cast<uint32_t>(strtoul(v.c_str(), nullptr, 10));
-    } else if (FlagValue(argv[i], "--threads", &v)) {
-      opts.threads = atoi(v.c_str());
-    } else if (FlagValue(argv[i], "--max-trials", &v)) {
-      opts.max_trials = strtoull(v.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--dev-mb", &v)) {
-      opts.dev_bytes = strtoull(v.c_str(), nullptr, 10) << 20;
-    } else if (FlagValue(argv[i], "--classes", &v)) {
+    if (common::UintFlag(argv[i], "--seed", &opts.seed) ||
+        common::UintFlag(argv[i], "--flips", &opts.flips_per_struct) ||
+        common::UintFlag(argv[i], "--threads", &opts.threads) ||
+        common::UintFlag(argv[i], "--max-trials", &opts.max_trials) ||
+        common::UintFlag(argv[i], "--dev-mb", &dev_mb, SIZE_MAX >> 20)) {
+      continue;
+    }
+    if (common::FlagValue(argv[i], "--classes", &v)) {
       size_t pos = 0;
       while (pos <= v.size()) {
         size_t comma = v.find(',', pos);
@@ -103,6 +93,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  opts.dev_bytes = dev_mb << 20;
   faultinj::CampaignReport rep = faultinj::RunCampaign(opts);
   if (json) {
     printf("%s", rep.ToJson().c_str());

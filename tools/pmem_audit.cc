@@ -13,6 +13,7 @@
 #include <string>
 
 #include "src/audit/audit.h"
+#include "src/common/flags.h"
 #include "src/harness/fxmark.h"
 
 namespace {
@@ -29,15 +30,6 @@ void Usage(const char* argv0) {
           argv0);
 }
 
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  size_t n = strlen(name);
-  if (strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -47,14 +39,12 @@ int main(int argc, char** argv) {
   bool json = false;
 
   for (int i = 1; i < argc; i++) {
-    std::string v;
-    if (FlagValue(argv[i], "--fs", &v)) {
-      fs_name = v;
-    } else if (FlagValue(argv[i], "--workload", &v)) {
-      wl_name = v;
-    } else if (FlagValue(argv[i], "--ops", &v)) {
-      ops = strtoull(v.c_str(), nullptr, 10);
-    } else if (strcmp(argv[i], "--json") == 0) {
+    if (common::FlagValue(argv[i], "--fs", &fs_name) ||
+        common::FlagValue(argv[i], "--workload", &wl_name) ||
+        common::UintFlag(argv[i], "--ops", &ops)) {
+      continue;
+    }
+    if (strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (strcmp(argv[i], "--list") == 0) {
       for (harness::FxWorkload w : harness::kAllFxWorkloads) {

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/procmon/procmon.h"
 
 namespace {
@@ -46,37 +47,22 @@ void Usage(const char* argv0) {
           argv0);
 }
 
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  size_t n = strlen(name);
-  if (strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   procmon::SoakOptions opts;
   bool json = false;
   for (int i = 1; i < argc; i++) {
-    std::string v;
-    if (FlagValue(argv[i], "--seed", &v)) {
-      opts.seed = strtoull(v.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--tenants", &v)) {
-      opts.tenants = static_cast<uint32_t>(strtoul(v.c_str(), nullptr, 10));
-    } else if (FlagValue(argv[i], "--rounds", &v)) {
-      opts.rounds = static_cast<uint32_t>(strtoul(v.c_str(), nullptr, 10));
-    } else if (FlagValue(argv[i], "--ops", &v)) {
-      opts.ops_per_tenant_per_round = static_cast<uint32_t>(strtoul(v.c_str(), nullptr, 10));
-    } else if (FlagValue(argv[i], "--stray-writes", &v)) {
-      opts.stray_writes = strtoull(v.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--remount-every", &v)) {
-      opts.remount_every = static_cast<uint32_t>(strtoul(v.c_str(), nullptr, 10));
-    } else if (FlagValue(argv[i], "--dev-mb", &v)) {
-      opts.device_mb = strtoull(v.c_str(), nullptr, 10);
-    } else if (strcmp(argv[i], "--no-corrupt") == 0) {
+    if (common::UintFlag(argv[i], "--seed", &opts.seed) ||
+        common::UintFlag(argv[i], "--tenants", &opts.tenants) ||
+        common::UintFlag(argv[i], "--rounds", &opts.rounds) ||
+        common::UintFlag(argv[i], "--ops", &opts.ops_per_tenant_per_round) ||
+        common::UintFlag(argv[i], "--stray-writes", &opts.stray_writes) ||
+        common::UintFlag(argv[i], "--remount-every", &opts.remount_every) ||
+        common::UintFlag(argv[i], "--dev-mb", &opts.device_mb, SIZE_MAX >> 20)) {
+      continue;
+    }
+    if (strcmp(argv[i], "--no-corrupt") == 0) {
       opts.corrupt_in_loop = false;
     } else if (strcmp(argv[i], "--key-pressure") == 0) {
       opts.key_pressure = true;
