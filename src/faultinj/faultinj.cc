@@ -93,9 +93,13 @@ struct SetupInfo {
   std::vector<uint64_t> vault_pages;
   uint64_t d_l1 = 0;        // /d's L1 directory page
   uint64_t d_l2 = 0;        // first populated L2 page
+  uint64_t d_l2_slot = 0;   // the L1 slot that names it
   uint64_t dentry_off = 0;  // a live embedded dentry inside d_l2
   uint64_t root_pool = 0;   // AllocPool page byte offsets
   uint64_t secret_pool = 0;
+  // Two free pages of /vault's coffer (its free list's first two): pages of
+  // another protection class that no battery op touches.
+  uint64_t vault_free[2] = {0, 0};
   std::string err;
 };
 
@@ -116,12 +120,23 @@ Patch P32(uint64_t off, uint32_t v) {
 }
 
 // A whole fabricated page whose first 8 bytes are `next` (a DentryRun with
-// no live dentries).
+// no live dentries, or an L1 page whose slot 0 is `next`).
 Patch PRunPage(uint64_t off, uint64_t next) {
   Patch p;
   p.off = off;
   p.bytes.assign(nvm::kPageSize, 0);
   memcpy(p.bytes.data(), &next, 8);
+  return p;
+}
+
+// A whole fabricated directory page holding one in-use dentry with no name at
+// byte `dentry_at`: recovery recognises it as corrupt and clears it in place.
+Patch PNamelessDentryPage(uint64_t off, uint64_t dentry_at) {
+  Patch p;
+  p.off = off;
+  p.bytes.assign(nvm::kPageSize, 0);
+  const uint16_t flags = zofs::kDentryInUse;
+  memcpy(p.bytes.data() + dentry_at + offsetof(zofs::Dentry, flags), &flags, 2);
   return p;
 }
 
@@ -228,6 +243,7 @@ SetupInfo Setup(const CampaignOptions& opts) {
   const auto* slots = reinterpret_cast<const uint64_t*>(dev->base() + s.d_l1);
   for (uint64_t i = 0; i < zofs::kL1Slots && s.d_l2 == 0; i++) {
     s.d_l2 = slots[i];
+    s.d_l2_slot = s.d_l1 + i * 8;
   }
   if (s.d_l2 == 0) {
     return fail("setup: /d has no populated L2 page");
@@ -245,6 +261,18 @@ SetupInfo Setup(const CampaignOptions& opts) {
 
   s.root_pool = kfs->RootPageOf(s.root_cid)->custom_off;
   s.secret_pool = kfs->RootPageOf(s.secret_cid)->custom_off;
+  const auto* vault_pool = reinterpret_cast<const zofs::AllocPool*>(
+      dev->base() + kfs->RootPageOf(s.vault_cid)->custom_off);
+  for (const zofs::LeasedFreeList& l : vault_pool->lists) {
+    if (l.head != 0 && l.count >= 2) {
+      s.vault_free[0] = l.head;
+      memcpy(&s.vault_free[1], dev->base() + l.head, 8);
+      break;
+    }
+  }
+  if (s.vault_free[0] == 0 || s.vault_free[1] == 0) {
+    return fail("setup: /vault's coffer has no two free pages");
+  }
   const auto* sb = reinterpret_cast<const kernfs::Superblock*>(dev->base());
   s.alloc_table_off = sb->alloc_table_off;
 
@@ -413,6 +441,20 @@ std::vector<Trial> BuildTrials(const SetupInfo& s, const CampaignOptions& opts) 
       {P64(sroot + offsetof(kernfs::CofferRoot, custom_off), s.big_pages[0])});
   add(FaultClass::kCofferRootBogus, s.secret_cid, "/secret coffer-root root_inode_off -> garbage",
       {P64(sroot + offsetof(kernfs::CofferRoot, root_inode_off), 0xabcdef0)});
+
+  // -- Directory pointers aimed across the MPK wall: /d's directory body
+  // leads into /vault's coffer, to a fabricated page whose one live dentry
+  // has no name. Recovery of the root coffer must refuse the foreign page
+  // before clearing that dentry, a store its window does not cover.
+  const uint64_t va = s.vault_free[0], vb = s.vault_free[1];
+  const Patch l2_nameless = PNamelessDentryPage(vb, offsetof(zofs::L2Page, embedded));
+  add(FaultClass::kDirPtrCrossClass, s.root_cid, "/d l1_dir -> /vault-coffer page (fabricated L1)",
+      {PRunPage(va, vb), l2_nameless, P64(s.d_ino + offsetof(zofs::Inode, l1_dir), va)});
+  add(FaultClass::kDirPtrCrossClass, s.root_cid, "/d L1 slot -> /vault-coffer page (fabricated L2)",
+      {l2_nameless, P64(s.d_l2_slot, vb)});
+  add(FaultClass::kDirPtrCrossClass, s.root_cid,
+      "/d bucket run link -> /vault-coffer page (fabricated run)",
+      {PNamelessDentryPage(vb, offsetof(zofs::DentryRun, dentries)), P64(bucket0, vb)});
 
   if (opts.max_trials != 0 && out.size() > opts.max_trials) {
     out.resize(opts.max_trials);
@@ -709,6 +751,8 @@ const char* FaultClassName(FaultClass c) {
       return "chan-entry-scribble";
     case FaultClass::kCofferRootBogus:
       return "coffer-root-bogus";
+    case FaultClass::kDirPtrCrossClass:
+      return "dir-ptr-cross-class";
   }
   return "?";
 }

@@ -9,8 +9,9 @@
 // The campaign runs a deterministic workload, snapshots the quiescent device
 // image, then systematically corrupts persistent coffer state — bit flips in
 // inodes and dentries, block pointers swapped out-of-range or into other
-// coffers, allocation-table run-length lies, free-list and lease-word
-// garbage, directory hash-chain cycles, bogus coffer-root fields — and
+// coffers, directory pointers aimed at another protection class,
+// allocation-table run-length lies, free-list and lease-word garbage,
+// directory hash-chain cycles, bogus coffer-root fields — and
 // re-drives FSLib through reads, writes, lookups, and recovery on each
 // corrupted image. Outcomes are classified per trial:
 //
@@ -53,6 +54,9 @@ enum class FaultClass {
   kChanEntryScribble,// a queued channel request scribbled in flight (volatile
                      // DRAM fault, injected live rather than via the image):
                      // the kernel must refuse it with kInval, never dispatch
+  kDirPtrCrossClass, // l1_dir / an L1 slot / a dentry-run link aimed at a page
+                     // of another protection class, fabricated into a
+                     // directory page that recovery would write to
 };
 
 inline constexpr FaultClass kAllFaultClasses[] = {
@@ -61,7 +65,7 @@ inline constexpr FaultClass kAllFaultClasses[] = {
     FaultClass::kBlkptrCrossCoffer, FaultClass::kAllocRunLie,
     FaultClass::kFreeListGarbage,  FaultClass::kLeaseGarbage,
     FaultClass::kDirCycle,         FaultClass::kCofferRootBogus,
-    FaultClass::kChanEntryScribble,
+    FaultClass::kChanEntryScribble, FaultClass::kDirPtrCrossClass,
 };
 
 const char* FaultClassName(FaultClass c);

@@ -106,6 +106,16 @@ Result<std::vector<PageRun>> Channel::Enlarge(uint32_t coffer_id,
   return std::move(done.runs);
 }
 
+Status Channel::Shrink(uint32_t coffer_id, std::vector<PageRun> runs) {
+  ChanRequest req;
+  req.op = ChanOp::kShrink;
+  req.coffer_id = coffer_id;
+  req.runs = std::move(runs);
+  ChanCompletion done;
+  RunBatch(&req, &done);
+  return done.status;
+}
+
 Result<MapInfo> Channel::Retag(uint32_t coffer_id) {
   ChanRequest req;
   req.op = ChanOp::kRetag;

@@ -70,6 +70,9 @@ class Channel {
   Result<MapInfo> Map(uint32_t coffer_id, bool writable);
   Status Unmap(uint32_t coffer_id);
   Result<std::vector<PageRun>> Enlarge(uint32_t coffer_id, uint64_t n_pages);
+  // Returns free pages to the kernel (coffer_shrink). All or nothing: on an
+  // error no run has been freed.
+  Status Shrink(uint32_t coffer_id, std::vector<PageRun> runs);
   // Key-window fault-in (ChanOp::kRetag, ISSUE 10): restores a physical key
   // to the coffer's protection class and retags its pages, batched with
   // whatever else is queued — one crossing, no unmap.

@@ -971,39 +971,63 @@ Status KernFs::CofferShrink(Process& proc, uint32_t coffer_id, const std::vector
   return DoCofferShrink(proc, coffer_id, runs);
 }
 
-Status KernFs::ShrinkRunLocked(CofferInfo* c, const PageRun& r) {
+Status KernFs::ValidateShrinkRunLocked(const CofferInfo& c, const PageRun& r) {
   if (!RunInBounds(sb_->num_pages, r)) {
     return Err::kInval;
   }
   // Validate ownership of every page in the run.
   for (uint64_t p = r.start_page; p < r.start_page + r.len; p++) {
-    if (ReadEntry(p).coffer_id != c->id || p == c->root_page) {
+    if (ReadEntry(p).coffer_id != c.id || p == c.root_page) {
       return Err::kInval;
     }
   }
-  // Carve the run out of the volatile owner map.
-  auto it = c->runs.upper_bound(r.start_page);
-  if (it == c->runs.begin()) {
+  // The volatile owner map must cover the run, possibly across adjacent
+  // entries (each enlarge grant is its own entry).
+  auto it = c.runs.upper_bound(r.start_page);
+  if (it == c.runs.begin()) {
     return Err::kInval;
   }
   --it;
-  uint64_t run_start = it->first, run_len = it->second;
-  if (r.start_page < run_start || r.start_page + r.len > run_start + run_len) {
+  uint64_t covered = it->first + it->second;
+  if (covered <= r.start_page) {
     return Err::kInval;
   }
-  c->runs.erase(it);
-  if (r.start_page > run_start) {
-    c->runs[run_start] = r.start_page - run_start;
+  while (covered < r.start_page + r.len) {
+    ++it;
+    if (it == c.runs.end() || it->first != covered) {
+      return Err::kInval;
+    }
+    covered += it->second;
   }
-  if (r.start_page + r.len < run_start + run_len) {
-    c->runs[r.start_page + r.len] = run_start + run_len - (r.start_page + r.len);
+  return common::OkStatus();
+}
+
+void KernFs::ApplyShrinkRunLocked(CofferInfo* c, const PageRun& r) {
+  // Carve the run out of every owner-map entry it touches, keeping the parts
+  // of the first and last entries that lie outside it.
+  const uint64_t end = r.start_page + r.len;
+  auto it = std::prev(c->runs.upper_bound(r.start_page));
+  while (it != c->runs.end() && it->first < end) {
+    const uint64_t run_start = it->first, run_end = it->first + it->second;
+    it = c->runs.erase(it);
+    if (run_start < r.start_page) {
+      c->runs[run_start] = r.start_page - run_start;
+    }
+    if (run_end > end) {
+      c->runs[end] = run_end - end;
+    }
   }
   for (Process* p : c->mapped_by) {
-    for (uint64_t pg = r.start_page; pg < r.start_page + r.len; pg++) {
+    for (uint64_t pg = r.start_page; pg < end; pg++) {
       SetPageKeyLocked(*p, pg, mpk::kUnmapped);
     }
   }
   FreeRun(r);
+}
+
+Status KernFs::ShrinkRunLocked(CofferInfo* c, const PageRun& r) {
+  RETURN_IF_ERROR(ValidateShrinkRunLocked(*c, r));
+  ApplyShrinkRunLocked(c, r);
   return common::OkStatus();
 }
 
@@ -1022,8 +1046,20 @@ Status KernFs::DoCofferShrink(Process& proc, uint32_t coffer_id,
     return Err::kNoEnt;
   }
   RETURN_IF_ERROR(CheckMappedWritable(proc, coffer_id));
-  for (const PageRun& r : runs) {
-    RETURN_IF_ERROR(ShrinkRunLocked(c, r));
+  // All or nothing: validate the whole batch (runs may not overlap) before
+  // freeing any of it, so a bad run cannot leave earlier ones freed behind
+  // an unpersisted num_pages while the caller believes it still owns them.
+  std::vector<PageRun> sorted = runs;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const PageRun& a, const PageRun& b) { return a.start_page < b.start_page; });
+  for (size_t i = 0; i < sorted.size(); i++) {
+    RETURN_IF_ERROR(ValidateShrinkRunLocked(*c, sorted[i]));
+    if (i > 0 && sorted[i - 1].start_page + sorted[i - 1].len > sorted[i].start_page) {
+      return Err::kInval;
+    }
+  }
+  for (const PageRun& r : sorted) {
+    ApplyShrinkRunLocked(c, r);
   }
   PersistCofferSizeLocked(c);
   return common::OkStatus();

@@ -122,7 +122,7 @@ enum class ChanOp : uint8_t {
   kMap,      // CofferMap(coffer_id, writable)
   kUnmap,    // CofferUnmap(coffer_id)
   kEnlarge,  // CofferEnlarge(coffer_id, n_pages)
-  kShrink,   // CofferShrink(coffer_id, runs) — drain-time grant return
+  kShrink,   // CofferShrink(coffer_id, runs): free-list give-back, drain-time grant return
   kRetag,    // CofferRetag(coffer_id) — key-window fault-in (ISSUE 10)
 };
 
@@ -391,10 +391,14 @@ class KernFs {
   Status DoCofferUnmap(Process& proc, uint32_t coffer_id);
   Result<MapInfo> DoCofferRetag(Process& proc, uint32_t coffer_id);
 
-  // Ownership-validated run return (the body of DoCofferShrink, shared with
-  // the reaper's grant reclamation, which validates ownership the same way
-  // but skips the caller-mapped-writable check — the corpse obviously cannot
-  // hold a mapping requirement).
+  // Ownership-validated run return, shared by DoCofferShrink and the reaper's
+  // grant reclamation (which skips the caller-mapped-writable check — the
+  // corpse obviously cannot hold a mapping requirement). A run may span
+  // adjacent owner-map entries (pages from back-to-back enlarge grants).
+  // Validation mutates nothing, so a batch is checked whole before any run
+  // of it is applied.
+  Status ValidateShrinkRunLocked(const CofferInfo& c, const PageRun& r) REQUIRES(mu_);
+  void ApplyShrinkRunLocked(CofferInfo* c, const PageRun& r) REQUIRES(mu_);
   Status ShrinkRunLocked(CofferInfo* c, const PageRun& r) REQUIRES(mu_);
   void PersistCofferSizeLocked(CofferInfo* c) REQUIRES(mu_);
 

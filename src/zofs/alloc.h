@@ -10,7 +10,9 @@
 //
 // Free pages are linked through their first 8 bytes. Pages sitting in free
 // lists are owned by the coffer; a crash can strand them there, and offline
-// recovery (fsck) returns them to the kernel.
+// recovery (fsck) returns them to the kernel. A list that frees push past a
+// high-water mark gives its surplus back through coffer_shrink, so pages one
+// thread frees do not sit idle while other threads enlarge the coffer.
 
 #ifndef SRC_ZOFS_ALLOC_H_
 #define SRC_ZOFS_ALLOC_H_
@@ -79,8 +81,13 @@ class CofferAllocator {
   // with NT data immediately).
   Result<uint64_t> AllocPageStaged(nvm::FlushSet* flush);
 
-  // Returns a page to this thread's free list.
+  // Returns a page to this thread's free list. A list left holding more than
+  // kGiveBackHigh x enlarge_batch pages is trimmed to kGiveBackLow x
+  // enlarge_batch; the surplus goes back to KernFS (coffer_shrink).
   Status FreePage(uint64_t page_off);
+
+  static constexpr uint64_t kGiveBackHigh = 4;
+  static constexpr uint64_t kGiveBackLow = 2;
 
   // Pushes externally-obtained coffer pages (e.g. from coffer_merge) onto
   // this thread's free list.
@@ -107,6 +114,10 @@ class CofferAllocator {
   // the same crossing), else falls back to the synchronous entry point.
   Result<std::vector<kernfs::PageRun>> RefillRuns();
   void PushLocked(LeasedFreeList* l, uint64_t list_off, uint64_t page_off);
+  // Pops list `l` down to kGiveBackLow x enlarge_batch pages and returns the
+  // popped pages to the kernel as sorted runs. Needs no intent: a popped page
+  // not yet returned is unreachable, so recovery reclaims it after a crash.
+  void GiveBack(LeasedFreeList* l, uint64_t list_off);
   // Is `off` safe to dereference as a free-list link (page-aligned, inside
   // the device, owned by this coffer per the MPK oracle)?
   bool ValidFreePage(uint64_t off) const;

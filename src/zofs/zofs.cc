@@ -989,9 +989,13 @@ Status ZoFs::DirInsert(uint32_t cid, const MapInfo& info, Inode* dir, std::strin
   const uint32_t h = common::Fnv1a32(name);
   const uint64_t dir_off = dev->OffsetOf(dir);
 
-  // Pages are allocated on demand (paper §5.1).
+  // Pages are allocated on demand (paper §5.1). A new directory page's
+  // zeroing is fenced before the pointer that publishes it: in one epoch
+  // with it, a torn image can show the pointer over the page's old bytes
+  // (a recycled data page reads as garbage dentries).
   if (dir->l1_dir == 0) {
     ASSIGN_OR_RETURN(l1_page, alloc.AllocPage(/*zero=*/true));
+    dev->Sfence();
     dev->Store64(dir_off + offsetof(Inode, l1_dir), l1_page);
     dev->PersistRange(dir_off + offsetof(Inode, l1_dir), 8);
   } else if (!ValidMetaPage(dir->l1_dir)) {
@@ -1001,6 +1005,7 @@ Status ZoFs::DirInsert(uint32_t cid, const MapInfo& info, Inode* dir, std::strin
   const uint64_t slot = h % kL1Slots;
   if (l1[slot] == 0) {
     ASSIGN_OR_RETURN(l2_page, alloc.AllocPage(/*zero=*/true));
+    dev->Sfence();
     dev->Store64(dir->l1_dir + slot * 8, l2_page);
     dev->PersistRange(dir->l1_dir + slot * 8, 8);
   } else if (!ValidMetaPage(l1[slot])) {

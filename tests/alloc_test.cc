@@ -146,6 +146,33 @@ TEST_F(AllocTest, DonateParksPagesOnFreeList) {
   EXPECT_GE(alloc->FreeListPagesForTest(), 6u);
 }
 
+TEST_F(AllocTest, FreeingPastHighWaterGivesPagesBack) {
+  constexpr uint64_t kBatch = 16;
+  auto alloc = NewAlloc(1'000'000'000, kBatch);
+  mpk::AccessWindow w(info_.key, true);
+  std::vector<uint64_t> pages;
+  for (uint64_t i = 0; i < 5 * kBatch; i++) {
+    auto p = alloc->AllocPage(false);
+    ASSERT_TRUE(p.ok());
+    pages.push_back(*p);
+  }
+  const uint64_t kernel_free_before = kfs_->FreePages();
+  for (uint64_t p : pages) {
+    ASSERT_TRUE(alloc->FreePage(p).ok());
+    ASSERT_LE(alloc->FreeListPagesForTest(), CofferAllocator::kGiveBackHigh * kBatch);
+  }
+  EXPECT_GE(alloc->FreeListPagesForTest(), CofferAllocator::kGiveBackLow * kBatch);
+  EXPECT_GT(kfs_->FreePages(), kernel_free_before);
+  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+  // What stayed on the list is still usable.
+  std::set<uint64_t> seen;
+  for (uint64_t i = 0; i < 5 * kBatch; i++) {
+    auto p = alloc->AllocPage(false);
+    ASSERT_TRUE(p.ok());
+    EXPECT_TRUE(seen.insert(*p).second) << "duplicate page";
+  }
+}
+
 TEST_F(AllocTest, ConcurrentAllocationsDisjoint) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;

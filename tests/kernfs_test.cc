@@ -125,6 +125,57 @@ TEST_F(KernFsTest, FreeSpaceCoalesces) {
   EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
 }
 
+TEST_F(KernFsTest, ShrinkRunSpanningTwoGrants) {
+  // Back-to-back grants are separate owner-map entries; a give-back that
+  // coalesced their pages into one run must still be accepted.
+  uint32_t id = MakeCoffer("/span");
+  auto r1 = kfs_->CofferEnlarge(*proc_, id, 8);
+  auto r2 = kfs_->CofferEnlarge(*proc_, id, 8);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  ASSERT_EQ(r1->size(), 1u);
+  ASSERT_EQ(r2->size(), 1u);
+  ASSERT_EQ((*r1)[0].start_page + 8, (*r2)[0].start_page) << "grants not adjacent";
+  const uint64_t free_before = kfs_->FreePages();
+  const uint64_t pages_before = kfs_->RootPageOf(id)->num_pages;
+  ASSERT_TRUE(kfs_->CofferShrink(*proc_, id, {PageRun{(*r1)[0].start_page + 4, 8}}).ok());
+  EXPECT_EQ(kfs_->FreePages(), free_before + 8);
+  EXPECT_EQ(kfs_->RootPageOf(id)->num_pages, pages_before - 8);
+  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+  // The outer halves are still the coffer's and can be returned too.
+  ASSERT_TRUE(kfs_->CofferShrink(*proc_, id,
+                                 {PageRun{(*r1)[0].start_page, 4},
+                                  PageRun{(*r2)[0].start_page + 4, 4}})
+                  .ok());
+  EXPECT_EQ(kfs_->FreePages(), free_before + 16);
+  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+}
+
+TEST_F(KernFsTest, ShrinkBatchWithBadRunChangesNothing) {
+  uint32_t id = MakeCoffer("/batch");
+  auto runs = kfs_->CofferEnlarge(*proc_, id, 8);
+  ASSERT_TRUE(runs.ok());
+  ASSERT_EQ(runs->size(), 1u);
+  const PageRun good{(*runs)[0].start_page, 4};
+  const uint64_t free_before = kfs_->FreePages();
+  const uint64_t pages_before = kfs_->RootPageOf(id)->num_pages;
+  const std::vector<std::vector<PageRun>> bad_batches = {
+      {good, PageRun{id, 1}},                          // the coffer's root page
+      {good, PageRun{kfs_->root_coffer_id(), 1}},      // another coffer's page
+      {good, PageRun{(*runs)[0].start_page + 2, 4}},   // overlaps the first run
+  };
+  for (const std::vector<PageRun>& batch : bad_batches) {
+    auto st = kfs_->CofferShrink(*proc_, id, batch);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error(), Err::kInval);
+    EXPECT_EQ(kfs_->FreePages(), free_before);
+    EXPECT_EQ(kfs_->RootPageOf(id)->num_pages, pages_before);
+    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+  }
+  // Nothing was freed, so the good run still belongs to the coffer.
+  ASSERT_TRUE(kfs_->CofferShrink(*proc_, id, {good}).ok());
+  EXPECT_EQ(kfs_->FreePages(), free_before + 4);
+}
+
 TEST_F(KernFsTest, MapChecksPermissions) {
   uint32_t id = MakeCoffer("/private", 0600);
   Process* stranger = kfs_->CreateProcess(vfs::Cred{200, 200});

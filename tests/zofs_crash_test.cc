@@ -112,7 +112,13 @@ TEST_F(ZofsCrashTest, CrossCofferFileSurvivesCrash) {
 
 TEST_F(ZofsCrashTest, RecoveryReclaimsAllocatorFreeLists) {
   // Grow and shrink a file, leaving pages parked in leased free lists; after
-  // a crash + recovery those pages return to the kernel.
+  // a crash + recovery those pages return to the kernel. A wider enlarge
+  // batch lifts the allocator's give-back mark (4 batches) above the 255
+  // freed pages, so they all stay parked until the crash.
+  zofs::Options zo;
+  zo.enlarge_batch = 128;
+  st_.Unmount();
+  st_.Mount(cred, zo);
   auto fd = fs()->Open(cred, "/grow", vfs::kCreate | vfs::kRdWr, 0644);
   std::vector<uint8_t> chunk(1 << 20, 0xaa);
   ASSERT_TRUE(fs()->Pwrite(*fd, chunk.data(), chunk.size(), 0).ok());

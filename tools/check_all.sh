@@ -7,7 +7,7 @@
 # crash_explore sweeps of seven workloads plus the planted-rename-bug check,
 # the metadata fault-injection campaign (deterministic across thread counts, plus
 # a bounded sanitized run and the planted raw-dereference check), a TSan build running the threaded scalability
-# stress, a repeated 2-thread bench_json sweep under true parallelism, and
+# and kvstore stress, a repeated 2-thread bench_json sweep under true parallelism, and
 # the perfbench self-test. Prints a per-gate summary table and exits nonzero
 # on any finding.
 #
@@ -257,14 +257,18 @@ else
   gate "perfbench-selftest" FAIL
 fi
 
-step "TSan build + threaded scalability stress ($TSAN_DIR)"
+step "TSan build + threaded scalability and kvstore stress ($TSAN_DIR)"
 # Only the ScalabilityTsan fixtures run here: they confine themselves to
 # TSan-clean shapes (private coffers, lease-locked shared appends). The
-# racy-by-design shared-directory storms stay in the regular suite.
+# racy-by-design shared-directory storms stay in the regular suite. The
+# kvstore fixture races lock-free Gets against flushes, compactions and
+# table retirement on all three file systems it runs over.
 cmake -S . -B "$TSAN_DIR" -DZOFS_SANITIZE=thread >/dev/null
-cmake --build "$TSAN_DIR" -j --target scalability_test
+cmake --build "$TSAN_DIR" -j --target scalability_test kvstore_test
 if TSAN_OPTIONS="halt_on_error=1" "$TSAN_DIR"/tests/scalability_test \
-     --gtest_filter='ScalabilityTsan*'; then
+     --gtest_filter='ScalabilityTsan*' &&
+   TSAN_OPTIONS="halt_on_error=1" "$TSAN_DIR"/tests/kvstore_test \
+     --gtest_filter='*ConcurrentGetsThroughFlushAndCompaction*'; then
   gate "tsan-stress" PASS
 else
   gate "tsan-stress" FAIL
