@@ -85,6 +85,8 @@ class LogFs final : public ufs::MicroFs {
   Result<uint64_t> CompactForTest();
   uint64_t log_pages() const { return log_pages_; }
   uint64_t replayed_records() const { return replayed_records_; }
+  // Pages parked on the coffer allocator's free lists (recovery reclaims them).
+  uint64_t FreeListPagesForTest() const { return alloc_->FreeListPagesForTest(); }
 
  private:
   // ---- on-NVM structures ----

@@ -80,6 +80,15 @@ FsckResult Fsck(const Stack& st) {
   if (!alloc.empty()) {
     r.kind = "fsck-alloc";
     r.detail = alloc.substr(0, alloc.find('\n'));
+    return r;
+  }
+  // A page reachable after recovery but no longer the coffer's would be
+  // owned twice once the kernel hands it on.
+  auto* z = dynamic_cast<zofs::ZoFs*>(&st.fs()->ufs());
+  const std::string owner = z != nullptr ? z->ReachableNotOwnedForTest() : "";
+  if (!owner.empty()) {
+    r.kind = "fsck-owner";
+    r.detail = owner;
   }
   return r;
 }

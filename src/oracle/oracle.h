@@ -62,14 +62,15 @@ class Stack {
 };
 
 struct FsckResult {
-  std::string kind;  // "" (clean), "recovery-failed" or "fsck-alloc"
+  std::string kind;  // "" (clean), "recovery-failed", "fsck-alloc" or "fsck-owner"
   std::string detail;
   ufs::RecoveryStats stats;
   bool ok() const { return kind.empty(); }
 };
 
 // RecoverAll on the stack's process must succeed without an escaped
-// mpk::ViolationError, and then the kernel allocation table must check out.
+// mpk::ViolationError, then the kernel allocation table must check out, and
+// every page reachable from a coffer must still be that coffer's.
 FsckResult Fsck(const Stack& st);
 
 struct ReadBack {

@@ -204,6 +204,8 @@ class ZoFs final : public ufs::MicroFs {
   Status CollectReachable(uint32_t cid, uint64_t inode_off, const std::string& path,
                           std::vector<uint64_t>* pages, std::vector<CrossRef>* cross_refs,
                           uint64_t* cleared_dentries);
+  // CollectReachable's test for a page it may walk and store into.
+  bool RecoveryOwnsPage(uint64_t off) const;
 
   // Runs offline recovery on one coffer (paper §3.5 / §5.3): traverse,
   // repair what is recognisable, report in-use pages to the kernel, which
@@ -254,6 +256,11 @@ class ZoFs final : public ufs::MicroFs {
   }
   // Force a read-only quarantine (exercises session invalidation).
   void QuarantineReadOnlyForTest(uint32_t cid) { QuarantineReadOnly(cid); }
+  // For fsck oracles: walks every coffer as recovery does and returns a
+  // description of the first reachable page the kernel does not list as the
+  // coffer's (a pointer that outlived the page's return to the kernel), or
+  // an empty string.
+  std::string ReachableNotOwnedForTest();
 
   // ---- channel completion points ----
   // Executes this thread's queued async ring (background-attributed) and
