@@ -326,7 +326,7 @@ std::vector<Diagnostic> LintSource(const std::string& path, std::string_view con
   static const std::set<std::string> kStdLockTypes = {
       "mutex",       "shared_mutex", "recursive_mutex", "timed_mutex",
       "lock_guard",  "unique_lock",  "shared_lock",     "scoped_lock",
-      "recursive_timed_mutex"};
+      "recursive_timed_mutex", "condition_variable", "condition_variable_any"};
   static const std::set<std::string> kTypeKeywords = {"namespace", "class", "struct", "union",
                                                       "enum"};
 

@@ -22,8 +22,9 @@
 //                   lock in RetireAllocatorLocked); (b) no KernFS call
 //                   (kfs_->...) while a shard lock is held — kernel entry
 //                   under a user-space lock serialises unrelated coffers.
-//   raw-mutex       std::mutex / std::shared_mutex / std::lock_guard / ...
-//                   must not be declared or used outside src/common/mutex.h:
+//   raw-mutex       std::mutex / std::shared_mutex / std::lock_guard /
+//                   std::condition_variable / ... must not be declared or
+//                   used outside src/common/mutex.h:
 //                   a raw lock opts out of both the capability analysis and
 //                   this lint.
 //   staged-append-relink

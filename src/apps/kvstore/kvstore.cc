@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <memory_resource>
+#include <new>
 #include <thread>
 
+#include "src/common/clock.h"
 #include "src/common/hash.h"
 
 namespace kvstore {
@@ -17,6 +21,9 @@ constexpr uint32_t kTombstone = 0xffffffffu;
 constexpr size_t kScanBytes = 1 << 20;
 constexpr uint64_t kBloomBitsPerKey = 10;
 constexpr int kBloomProbes = 7;  // ~ln 2 * bits per key
+// Await pauses this many times, then yields for up to kSpinNs, then blocks.
+constexpr uint32_t kPauseSpins = 256;
+constexpr uint64_t kSpinNs = 50'000;
 
 using Value = std::optional<std::string_view>;
 
@@ -229,8 +236,156 @@ class Db::TableWriter {
   std::string block_;
 };
 
+// A skiplist memtable (LevelDB's shape). One inserter runs at a time (the
+// batch whose ticket is up) and readers take no lock: a node is filled in
+// before a release store links it, and readers follow links with acquire
+// loads. An overwrite publishes a new value the same way and leaves the old
+// one for readers that already hold it. Keys, values and nodes live in the
+// memtable's arena, which is dropped with it.
+class Db::MemTable {
+ public:
+  MemTable() : head_(NewNode({}, nullptr, kMaxHeight)) {}
+
+  // Records key -> value (nullopt = tombstone). Inserter only.
+  void Add(std::string_view key, Value value) {
+    bytes_.fetch_add(key.size() + (value.has_value() ? value->size() : 0) + 16,
+                     std::memory_order_relaxed);
+    const Value* v = value.has_value() ? new (Alloc(sizeof(Value), alignof(Value)))
+                                             Value(Copy(*value))
+                                       : &kDeleted;
+    Node* prev[kMaxHeight];
+    Node* x = Seek(key, prev);
+    if (x != nullptr && x->key == key) {
+      x->value.store(v, std::memory_order_release);
+      return;
+    }
+    const int h = RandomHeight();
+    const int height = height_.load(std::memory_order_relaxed);
+    if (h > height) {
+      std::fill(prev + height, prev + h, head_);
+      // A reader that sees the new height before the links just drops a level.
+      height_.store(h, std::memory_order_relaxed);
+    }
+    x = NewNode(Copy(key), v, h);
+    for (int i = 0; i < h; i++) {
+      x->Link(i).store(prev[i]->Link(i).load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+      prev[i]->Link(i).store(x, std::memory_order_release);
+    }
+  }
+
+  // Outer optional: key present; inner: value or tombstone. The view lives
+  // as long as the memtable.
+  std::optional<Value> Find(std::string_view key) const {
+    const Node* x = Seek(key, nullptr);
+    if (x == nullptr || x->key != key) {
+      return std::nullopt;
+    }
+    return *x->value.load(std::memory_order_acquire);
+  }
+
+  size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
+  bool empty() const { return head_->Next(0) == nullptr; }
+
+  // Calls f(key, value) in key order, stopping at the first failure.
+  template <typename F>
+  Status ForEach(const F& f) const {
+    for (const Node* x = head_->Next(0); x != nullptr; x = x->Next(0)) {
+      RETURN_IF_ERROR(f(x->key, *x->value.load(std::memory_order_acquire)));
+    }
+    return common::OkStatus();
+  }
+
+ private:
+  static constexpr int kMaxHeight = 12;
+  static inline const Value kDeleted{};
+
+  // A node's `height` links follow it in its allocation.
+  struct Node {
+    Node(std::string_view k, const Value* v) : key(k), value(v) {}
+    std::atomic<Node*>& Link(int i) const {
+      return const_cast<std::atomic<Node*>*>(
+          reinterpret_cast<const std::atomic<Node*>*>(this + 1))[i];
+    }
+    Node* Next(int i) const { return Link(i).load(std::memory_order_acquire); }
+
+    const std::string_view key;
+    std::atomic<const Value*> value;
+  };
+
+  void* Alloc(size_t bytes, size_t align) { return arena_.allocate(bytes, align); }
+
+  std::string_view Copy(std::string_view bytes) {
+    char* p = static_cast<char*>(Alloc(std::max<size_t>(bytes.size(), 1), 1));
+    std::memcpy(p, bytes.data(), bytes.size());
+    return {p, bytes.size()};
+  }
+
+  Node* NewNode(std::string_view key, const Value* v, int height) {
+    Node* x = new (Alloc(sizeof(Node) + sizeof(std::atomic<Node*>) * height, alignof(Node)))
+        Node(key, v);
+    for (int i = 0; i < height; i++) {
+      new (&x->Link(i)) std::atomic<Node*>(nullptr);
+    }
+    return x;
+  }
+
+  // Each level up holds a quarter of the nodes of the one below.
+  int RandomHeight() {
+    int h = 1;
+    while (h < kMaxHeight && (rnd_ = rnd_ * 6364136223846793005ull + 1442695040888963407ull) >> 62 == 0) {
+      h++;
+    }
+    return h;
+  }
+
+  // The first node whose key is >= `key`; fills prev[level] with its
+  // predecessor on every level when `prev` is given.
+  Node* Seek(std::string_view key, Node** prev) const {
+    Node* x = head_;
+    for (int level = height_.load(std::memory_order_relaxed) - 1;;) {
+      Node* next = x->Next(level);
+      if (next != nullptr && next->key < key) {
+        x = next;
+        continue;
+      }
+      if (prev != nullptr) {
+        prev[level] = x;
+      }
+      if (level == 0) {
+        return next;
+      }
+      level--;
+    }
+  }
+
+  std::pmr::monotonic_buffer_resource arena_;  // inserter only
+  Node* const head_;
+  std::atomic<int> height_{1};
+  uint64_t rnd_ = 0x9e3779b97f4a7c15ull;  // inserter only
+  std::atomic<size_t> bytes_{0};
+};
+
+// One Put, Delete or flush request in the writer queue. It lives on its
+// caller's stack and may be gone as soon as its state turns kDone.
+struct Db::Writer {
+  enum State : int { kQueued, kLeader, kDone };
+
+  std::string_view key;
+  Value value;  // nullopt = tombstone
+  bool flush = false;  // FlushMemtableForTest: no record; it leads alone
+  Writer* next = nullptr;  // queue link, set under mu_
+  std::atomic<int> state{kQueued};
+  Status status = common::OkStatus();  // the batch's outcome, set before kDone
+  // Set before kLeader, by whoever makes this writer the leader.
+  Writer* last = nullptr;  // the batch is this writer through `last`
+  bool make_room = false;  // flush (and maybe compact) before appending
+  uint64_t prior = 0;      // the ticket of the batch ahead of this one
+};
+
 Db::Db(vfs::FileSystem* fs, std::string dir, DbOptions opts)
-    : fs_(fs), dir_(std::move(dir)), opts_(opts), version_(std::make_shared<const Version>()) {}
+    : fs_(fs), dir_(std::move(dir)), opts_(opts),
+      version_(std::make_shared<const Version>(Version{std::make_shared<MemTable>(), nullptr, {}})) {}
 
 Result<std::unique_ptr<Db>> Db::Open(vfs::FileSystem* fs, const std::string& dir, DbOptions opts) {
   auto db = std::unique_ptr<Db>(new Db(fs, dir, opts));
@@ -262,7 +417,7 @@ Result<std::unique_ptr<Db>> Db::Open(vfs::FileSystem* fs, const std::string& dir
     tables.push_back(std::move(*t));
     db->next_seq_ = std::max(db->next_seq_, seq + 1);
   }
-  db->InstallVersion(std::move(tables));
+  db->InstallVersion({db->version_->mem, nullptr, std::move(tables)});
   // Open the WAL and replay whatever it holds.
   ASSIGN_OR_RETURN(wal, fs->Open(db->cred_, dir + "/wal.log",
                                  vfs::kCreate | vfs::kRdWr | vfs::kAppend, 0644));
@@ -286,25 +441,6 @@ size_t Db::table_count() const {
   return version_->tables.size();
 }
 
-std::string_view Db::Stash(std::string_view bytes) {
-  char* p = static_cast<char*>(mem_arena_.allocate(std::max<size_t>(bytes.size(), 1), 1));
-  std::memcpy(p, bytes.data(), bytes.size());
-  return {p, bytes.size()};
-}
-
-void Db::ApplyToMemtable(std::string_view key, Value value) {
-  memtable_bytes_ += key.size() + (value.has_value() ? value->size() : 0) + 16;
-  if (value.has_value()) {
-    value = Stash(*value);  // an overwritten value stays in the arena until the flush
-  }
-  auto it = memtable_.lower_bound(key);
-  if (it != memtable_.end() && it->first == key) {
-    it->second = value;
-  } else {
-    memtable_.emplace_hint(it, Stash(key), value);
-  }
-}
-
 Status Db::Replay() {
   ASSIGN_OR_RETURN(st, fs_->Fstat(wal_fd_));
   Scanner scan(fs_, wal_fd_, st.size);
@@ -317,7 +453,7 @@ Status Db::Replay() {
     if (!more.ok() || !*more) {
       break;  // a torn record at the tail ends the log (standard WAL recovery)
     }
-    ApplyToMemtable(scan.rec().key, scan.rec().value);
+    version_->mem->Add(scan.rec().key, scan.rec().value);
     good = scan.end();
   }
   // Cut a torn tail off, or the next append would land behind it and be lost
@@ -329,17 +465,127 @@ Status Db::Replay() {
   return common::OkStatus();
 }
 
-Status Db::WriteWal(const std::string& key, const std::string& value, bool tombstone) {
+Status Db::Put(const std::string& key, const std::string& value) {
+  Writer w;
+  w.key = key;
+  w.value = value;
+  return Write(&w);
+}
+
+Status Db::Delete(const std::string& key) {
+  Writer w;
+  w.key = key;
+  return Write(&w);
+}
+
+Status Db::FlushMemtableForTest() {
+  Writer w;
+  w.flush = true;
+  return Write(&w);
+}
+
+Status Db::Write(Writer* w) {
+  {
+    common::MutexLock lk(&mu_);
+    if (queue_tail_ != nullptr) {
+      queue_tail_->next = w;
+    } else {
+      queue_head_ = w;
+    }
+    queue_tail_ = w;
+    if (queue_head_ == w) {
+      MakeLeader(w);
+    }
+  }
+  Await([w] { return w->state.load() != Writer::kQueued; });
+  if (w->state.load() == Writer::kDone) {
+    return w->status;
+  }
+  return Lead(w);
+}
+
+void Db::MakeLeader(Writer* w) {
+  Writer* last = w;
+  if (!w->flush) {
+    while (last->next != nullptr && !last->next->flush) {
+      last = last->next;
+    }
+  }
+  w->last = last;
+  w->make_room = w->flush || version_->mem->bytes() >= opts_.memtable_bytes;
+  w->prior = last_ticket_;
+  w->state.store(Writer::kLeader);
+}
+
+Status Db::Lead(Writer* leader) {
+  Writer* const last = leader->last;
+  Status s = common::OkStatus();
+  if (leader->make_room) {
+    // The memtable must hold everything the WAL does before both are let go.
+    Await([&] { return inserted_ticket_.load() == leader->prior; });
+    s = FlushMemtable();
+    if (s.ok() && table_count() >= opts_.compact_trigger) {
+      s = Compact();
+    }
+  }
+  if (s.ok() && !leader->flush) {
+    s = AppendBatch(leader, last);
+  }
+  // Hand the WAL to the next writer, then insert while it appends.
+  uint64_t ticket = 0;
+  MemTable* mem = nullptr;
+  {
+    common::MutexLock lk(&mu_);
+    if (s.ok() && !leader->flush) {
+      ticket = ++last_ticket_;
+      mem = version_->mem.get();  // no flush replaces it before this batch is in
+    }
+    queue_head_ = last->next;
+    if (queue_head_ == nullptr) {
+      queue_tail_ = nullptr;
+    } else {
+      MakeLeader(queue_head_);
+      if (sleepers_.load() > 0) {
+        cv_.NotifyAll();
+      }
+    }
+  }
+  if (ticket != 0) {
+    Await([&] { return inserted_ticket_.load() == ticket - 1; });
+    for (const Writer* w = leader;; w = w->next) {
+      mem->Add(w->key, w->value);
+      if (w == last) {
+        break;
+      }
+    }
+    inserted_ticket_.store(ticket);
+  }
+  // Ack the followers. Each may return, freeing its Writer, once it is kDone.
+  for (Writer* f = leader == last ? nullptr : leader->next; f != nullptr;) {
+    Writer* next = f == last ? nullptr : f->next;
+    f->status = s;
+    f->state.store(Writer::kDone);
+    f = next;
+  }
+  Wake();
+  return s;
+}
+
+Status Db::AppendBatch(const Writer* first, const Writer* last) {
   if (wal_broken_) {
     return Err::kIo;
   }
-  std::string rec;
-  rec.reserve(kHeaderBytes + key.size() + value.size());
-  AppendRecord(&rec, key, tombstone ? Value() : Value(value));
-  ASSIGN_OR_RETURN(n, fs_->Write(wal_fd_, rec.data(), rec.size()));
-  if (n != rec.size()) {
-    // The record is not in the log: do not ack it, and cut the partial
-    // record off so later appends stay replayable. If the cut fails, a
+  wal_buf_.clear();
+  for (const Writer* w = first;; w = w->next) {
+    AppendRecord(&wal_buf_, w->key, w->value);
+    if (w == last) {
+      break;
+    }
+  }
+  ASSIGN_OR_RETURN(n, fs_->Write(wal_fd_, wal_buf_.data(), wal_buf_.size()));
+  if (n != wal_buf_.size()) {
+    // The batch is not in the log: ack none of it, and cut the partial
+    // records off so later appends stay replayable. If the cut fails, a
     // replay would stop at the partial record and drop every later append,
     // so refuse all further writes instead of acking them.
     if (!fs_->Ftruncate(wal_fd_, wal_bytes_).ok()) {
@@ -347,31 +593,50 @@ Status Db::WriteWal(const std::string& key, const std::string& value, bool tombs
     }
     return Err::kIo;
   }
-  wal_bytes_ += rec.size();
+  wal_bytes_ += n;
   if (opts_.sync_writes) {
     RETURN_IF_ERROR(fs_->Fsync(wal_fd_));
   }
   return common::OkStatus();
 }
 
-Status Db::Put(const std::string& key, const std::string& value) {
-  common::MutexLock lk(&mu_);
-  RETURN_IF_ERROR(WriteWal(key, value, /*tombstone=*/false));
-  ApplyToMemtable(key, value);
-  if (memtable_bytes_ >= opts_.memtable_bytes) {
-    RETURN_IF_ERROR(FlushMemtable());
+template <typename Done>
+void Db::Await(const Done& done) {
+  // Most waits end within one batch's append and insert, a few
+  // microseconds, sooner than a sleep and wakeup would; a flush or a
+  // compaction ahead takes milliseconds.
+  uint64_t start = 0;
+  for (uint32_t spins = 0; !done(); spins++) {
+    if (spins < kPauseSpins) {
+#if defined(__x86_64__)
+      __builtin_ia32_pause();
+#endif
+      continue;
+    }
+    const uint64_t now = common::RealNowNs();
+    start = start == 0 ? now : start;
+    if (now - start < kSpinNs) {
+      std::this_thread::yield();
+      continue;
+    }
+    common::MutexLock lk(&mu_);
+    sleepers_++;
+    while (!done()) {
+      cv_.Wait(&mu_);
+    }
+    sleepers_--;
+    return;
   }
-  return common::OkStatus();
 }
 
-Status Db::Delete(const std::string& key) {
-  common::MutexLock lk(&mu_);
-  RETURN_IF_ERROR(WriteWal(key, "", /*tombstone=*/true));
-  ApplyToMemtable(key, std::nullopt);
-  if (memtable_bytes_ >= opts_.memtable_bytes) {
-    RETURN_IF_ERROR(FlushMemtable());
+void Db::Wake() {
+  // The waker's store and this load, and a sleeper's increment and its
+  // recheck, are all sequentially consistent: either the sleeper sees the
+  // store or this sees the sleeper.
+  if (sleepers_.load() > 0) {
+    common::MutexLock lk(&mu_);
+    cv_.NotifyAll();
   }
-  return common::OkStatus();
 }
 
 Result<std::shared_ptr<Db::Table>> Db::LoadTable(const std::string& path) {
@@ -400,21 +665,26 @@ Result<std::shared_ptr<Db::Table>> Db::LoadTable(const std::string& path) {
   return t;
 }
 
-void Db::InstallVersion(std::vector<std::shared_ptr<Table>> tables) {
-  version_ = std::make_shared<const Version>(Version{std::move(tables)});
+void Db::InstallVersion(Version v) {
+  version_ = std::make_shared<const Version>(std::move(v));
 }
 
 void Db::RetireTables(std::vector<std::shared_ptr<Table>> retired) {
   // A reader holds a version, never a bare table, and takes it only under
-  // mu_, which this thread holds. Every version that lists a retired table
-  // holds a reference to it, so once each retired table is ours alone no
-  // reader's version can still aim a pread at its fd.
+  // mu_ from version_, which no longer lists the retired tables. Every
+  // version that does holds a reference to them, so once each retired table
+  // is ours alone no reader's version can still aim a pread at its fd. A Get
+  // lets go within microseconds; an iterator may take longer.
   auto busy = [&] {
     return std::any_of(retired.begin(), retired.end(),
                        [](const std::shared_ptr<Table>& t) { return t.use_count() > 1; });
   };
-  while (busy()) {
-    std::this_thread::yield();
+  for (uint32_t tries = 0; busy(); tries++) {
+    if (tries < kPauseSpins) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
   }
   // Oldest first: a crash part-way then leaves only tables newer than the
   // ones already gone, so a tombstone the merge dropped cannot be outlived
@@ -426,28 +696,42 @@ void Db::RetireTables(std::vector<std::shared_ptr<Table>> retired) {
 }
 
 Status Db::FlushMemtable() {
-  if (memtable_.empty()) {
-    return common::OkStatus();
+  std::shared_ptr<MemTable> full;
+  std::vector<std::shared_ptr<Table>> tables;
+  auto fresh = std::make_shared<MemTable>();
+  {
+    common::MutexLock lk(&mu_);
+    if (version_->mem->empty()) {
+      return common::OkStatus();
+    }
+    full = version_->mem;
+    tables = version_->tables;
+    // Gets keep reading the full memtable while it is written out.
+    InstallVersion({fresh, full, tables});
   }
-  TableWriter w(this, next_seq_++);
-  RETURN_IF_ERROR(w.Open());
-  for (const auto& [key, value] : memtable_) {
-    RETURN_IF_ERROR(w.Add(key, value));
+  auto write = [&]() -> Result<std::shared_ptr<Table>> {
+    TableWriter w(this, next_seq_++);
+    RETURN_IF_ERROR(w.Open());
+    RETURN_IF_ERROR(full->ForEach([&](std::string_view key, Value value) {
+      return w.Add(key, value);
+    }));
+    return w.Finish();
+  };
+  auto t = write();
+  {
+    common::MutexLock lk(&mu_);
+    if (!t.ok()) {
+      // Nothing reached `fresh`: later batches wait behind this leader.
+      InstallVersion({full, nullptr, tables});
+      return t.error();
+    }
+    tables.push_back(std::move(*t));
+    InstallVersion({fresh, nullptr, std::move(tables)});
   }
-  ASSIGN_OR_RETURN(t, w.Finish());
-  std::vector<std::shared_ptr<Table>> tables = version_->tables;
-  tables.push_back(std::move(t));
-  InstallVersion(std::move(tables));
-  memtable_.clear();
-  mem_arena_.release();
-  memtable_bytes_ = 0;
   // Truncate the WAL: its contents are now durable in the table. (The WAL fd
   // is append-mode, so the write offset resets with the size.)
   RETURN_IF_ERROR(fs_->Ftruncate(wal_fd_, 0));
   wal_bytes_ = 0;
-  if (version_->tables.size() >= opts_.compact_trigger) {
-    RETURN_IF_ERROR(Compact());
-  }
   return common::OkStatus();
 }
 
@@ -497,14 +781,21 @@ Status Db::MergeTables(const std::vector<std::shared_ptr<Table>>& tables, const 
 Status Db::Compact() {
   // Merge every table (newest wins) into one, dropping tombstones: the merge
   // covers everything older, so nothing is left for them to shadow.
-  std::vector<std::shared_ptr<Table>> inputs = version_->tables;
+  std::vector<std::shared_ptr<Table>> inputs;
+  {
+    common::MutexLock lk(&mu_);
+    inputs = version_->tables;
+  }
   TableWriter w(this, next_seq_++);
   RETURN_IF_ERROR(w.Open());
   RETURN_IF_ERROR(MergeTables(inputs, [&](std::string_view key, Value value) {
     return value.has_value() ? w.Add(key, value) : common::OkStatus();
   }));
   ASSIGN_OR_RETURN(t, w.Finish());
-  InstallVersion({std::move(t)});
+  {
+    common::MutexLock lk(&mu_);
+    InstallVersion({version_->mem, version_->imm, {std::move(t)}});
+  }
   RetireTables(std::move(inputs));
   return common::OkStatus();
 }
@@ -546,14 +837,18 @@ Result<std::string> Db::Get(const std::string& key) {
   std::shared_ptr<const Version> v;
   {
     common::MutexLock lk(&mu_);
-    auto it = memtable_.find(key);
-    if (it != memtable_.end()) {
-      if (!it->second.has_value()) {
+    v = version_;
+  }
+  for (const MemTable* m : {v->mem.get(), v->imm.get()}) {  // newest first
+    if (m == nullptr) {
+      continue;
+    }
+    if (auto hit = m->Find(key)) {
+      if (!hit->has_value()) {
         return Err::kNoEnt;
       }
-      return std::string(*it->second);
+      return std::string(**hit);
     }
-    v = version_;
   }
   const uint64_t hash = KeyHash(key);
   for (auto t = v->tables.rbegin(); t != v->tables.rend(); ++t) {  // newest first
@@ -569,20 +864,47 @@ Result<std::string> Db::Get(const std::string& key) {
 }
 
 Result<Db::Iterator> Db::NewIterator() {
-  common::MutexLock lk(&mu_);
+  std::shared_ptr<const Version> v;
+  {
+    common::MutexLock lk(&mu_);
+    v = version_;
+  }
+  // The memtables as one sorted run. During a flush there are two:
+  // std::merge puts the newer copy of a key first, and std::unique keeps it.
+  using Entry = std::pair<std::string_view, Value>;
+  auto entries = [](const MemTable& m) {
+    std::vector<Entry> out;
+    m.ForEach([&](std::string_view k, Value val) {
+      out.emplace_back(k, val);
+      return common::OkStatus();
+    });
+    return out;
+  };
+  std::vector<Entry> mems = entries(*v->mem);
+  if (v->imm != nullptr) {
+    const std::vector<Entry> older = entries(*v->imm);
+    std::vector<Entry> merged;
+    std::merge(mems.begin(), mems.end(), older.begin(), older.end(), std::back_inserter(merged),
+               [](const Entry& a, const Entry& b) { return a.first < b.first; });
+    merged.erase(std::unique(merged.begin(), merged.end(),
+                             [](const Entry& a, const Entry& b) { return a.first == b.first; }),
+                 merged.end());
+    mems = std::move(merged);
+  }
+
   Iterator iter;
-  auto emit = [&](std::string_view k, Value v) {
-    if (v.has_value()) {
-      iter.entries_.emplace_back(k, *v);
+  auto emit = [&](std::string_view k, Value val) {
+    if (val.has_value()) {
+      iter.entries_.emplace_back(k, *val);
     }
   };
-  // The memtable is the newest source: fold it into the tables' merge.
-  auto mem = memtable_.begin();
-  RETURN_IF_ERROR(MergeTables(version_->tables, [&](std::string_view key, Value value) {
-    for (; mem != memtable_.end() && mem->first < key; ++mem) {
+  // The memtables are the newest source: fold them into the tables' merge.
+  auto mem = mems.begin();
+  RETURN_IF_ERROR(MergeTables(v->tables, [&](std::string_view key, Value value) {
+    for (; mem != mems.end() && mem->first < key; ++mem) {
       emit(mem->first, mem->second);
     }
-    if (mem != memtable_.end() && mem->first == key) {
+    if (mem != mems.end() && mem->first == key) {
       emit(key, mem->second);
       ++mem;
     } else {
@@ -590,7 +912,7 @@ Result<Db::Iterator> Db::NewIterator() {
     }
     return common::OkStatus();
   }));
-  for (; mem != memtable_.end(); ++mem) {
+  for (; mem != mems.end(); ++mem) {
     emit(mem->first, mem->second);
   }
   return iter;

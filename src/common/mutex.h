@@ -19,6 +19,7 @@
 // zofs-lint: allow(raw-mutex) — this header IS the annotated wrapper layer.
 
 #include <atomic>
+#include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
 
@@ -43,7 +44,28 @@ class CAPABILITY("mutex") Mutex {
   void AssertHeld() ASSERT_CAPABILITY(this) {}
 
  private:
+  friend class CondVar;
   std::mutex mu_;
+};
+
+// Condition variable over a Mutex. Wait releases `mu` while it blocks and
+// holds it again when it returns; wakeups may be spurious, so callers wait in
+// a loop on their predicate.
+class CondVar {
+ public:
+  CondVar() = default;
+  CondVar(const CondVar&) = delete;
+  CondVar& operator=(const CondVar&) = delete;
+
+  void Wait(Mutex* mu) REQUIRES(mu) {
+    std::unique_lock<std::mutex> lk(mu->mu_, std::adopt_lock);
+    cv_.wait(lk);
+    lk.release();  // still held: the caller's guard releases it
+  }
+  void NotifyAll() { cv_.notify_all(); }
+
+ private:
+  std::condition_variable cv_;
 };
 
 // Reader/writer mutex.

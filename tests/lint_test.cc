@@ -235,6 +235,29 @@ TEST(LintRawMutex, FlagsStdGuards) {
   EXPECT_EQ(LintSource("src/x.cc", src).size(), 3u);
 }
 
+TEST(LintRawMutex, FlagsStdConditionVariables) {
+  const char* src = R"(
+class Q {
+  std::condition_variable cv_;
+  std::condition_variable_any any_cv_;
+};
+)";
+  auto diags = LintSource("src/apps/x.h", src);
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].rule, kRuleRawMutex);
+  EXPECT_EQ(diags[1].rule, kRuleRawMutex);
+}
+
+TEST(LintRawMutex, SuppressedConditionVariable) {
+  const char* src = R"(
+class Q {
+  // zofs-lint: allow(raw-mutex) — waits on a lock owned by a third-party API
+  std::condition_variable cv_;
+};
+)";
+  EXPECT_TRUE(LintSource("src/apps/x.h", src).empty());
+}
+
 TEST(LintRawMutex, FileWideAllowInWrapperHeader) {
   const char* src = R"(
 // zofs-lint: allow(raw-mutex) — this IS the wrapper layer

@@ -261,14 +261,18 @@ step "TSan build + threaded scalability and kvstore stress ($TSAN_DIR)"
 # Only the ScalabilityTsan fixtures run here: they confine themselves to
 # TSan-clean shapes (private coffers, lease-locked shared appends). The
 # racy-by-design shared-directory storms stay in the regular suite. The
-# kvstore fixture races lock-free Gets against flushes, compactions and
-# table retirement on all three file systems it runs over.
+# kvstore fixtures race lock-free Gets and iterators against group-commit
+# batches, pipelined skiplist inserts, flushes, compactions and table
+# retirement on all three file systems they run over.
 cmake -S . -B "$TSAN_DIR" -DZOFS_SANITIZE=thread >/dev/null
 cmake --build "$TSAN_DIR" -j --target scalability_test kvstore_test
+KV_TSAN='*ConcurrentGetsThroughFlushAndCompaction*:*ConcurrentSameKeyPutsReplayInWalOrder*'
+KV_TSAN+=':*GroupCommitSharesFsyncs*:*IteratorSeesEveryAckedPutDuringWrites*'
+KV_TSAN+=':*FlushRequestsQueueWithConcurrentPuts*'
 if TSAN_OPTIONS="halt_on_error=1" "$TSAN_DIR"/tests/scalability_test \
      --gtest_filter='ScalabilityTsan*' &&
    TSAN_OPTIONS="halt_on_error=1" "$TSAN_DIR"/tests/kvstore_test \
-     --gtest_filter='*ConcurrentGetsThroughFlushAndCompaction*'; then
+     --gtest_filter="$KV_TSAN"; then
   gate "tsan-stress" PASS
 else
   gate "tsan-stress" FAIL
